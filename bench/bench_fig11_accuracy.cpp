@@ -155,8 +155,8 @@ runClassificationBenchmark(const Benchmark &b)
 
         // DOTA-int8: the jointly-adapted model quantized, with the
         // trained detector still gating the integer softmax (hooks are
-        // honored on the int8 path). Calibration runs under the mask so
-        // the recorded ranges match deployment.
+        // honored on the int8 path). Calibration records the dense
+        // fp32 ranges: it never consults the installed detector.
         const Int8Plan dota_plan = quantizeClassifier(
             model, calibrateClassifier(model, calib));
         const EvalResult dota_i8 =

@@ -234,10 +234,10 @@ BM_AttentionSparse(benchmark::State &state)
 BENCHMARK(BM_AttentionSparse)->Arg(1000)->Arg(500)->Arg(250)->Arg(125);
 
 /**
- * One head of dynamically-quantized integer attention (the Int8Backend
- * flow): per-tensor scales from the live Q/K/V, u8 x s8 maddubs score
- * GEMM, integer softmax, int8 A*V. Quantization rides inside the
- * measured region because the backend pays it per forward.
+ * One head of dynamically-quantized integer attention: per-tensor
+ * scales from the live Q/K/V, u8 x s8 maddubs score GEMM, integer
+ * softmax, int8 A*V. Quantization rides inside the measured region
+ * because a dynamically-scaled head pays it per forward.
  */
 Matrix
 int8MaskedAttention(const AttentionProblem &p)

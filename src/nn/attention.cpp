@@ -110,12 +110,9 @@ MultiHeadAttention::forward(const Matrix &x)
         p.v = &vh;
         p.scale = inv_sqrt_dk;
         SparseMask smask;
-        if (kind == AttnBackendKind::Dense ||
-            kind == AttnBackendKind::Int8) {
+        if (kind == AttnBackendKind::Dense) {
             // A hook mask replaces the causal constraint; otherwise the
-            // cached triangle (no per-forward n x n rebuild). The int8
-            // backend shares the dense mask contract (its integer
-            // softmax consumes the dense 0/1 keep mask directly).
+            // cached triangle (no per-forward n x n rebuild).
             if (hook_mask)
                 p.dense_mask = &masks_[h];
             else if (causal_)

@@ -71,6 +71,7 @@ class MultiHeadAttention : public Module
 
     void collectParams(std::vector<Parameter *> &out) override;
 
+    size_t layer() const { return layer_; }
     size_t heads() const { return heads_; }
     size_t headDim() const { return head_dim_; }
     bool causal() const { return causal_; }
@@ -117,8 +118,10 @@ class MultiHeadAttention : public Module
     const Matrix &wv() const { return wv_.value; }
     const Matrix &wo() const { return wo_.value; }
 
-  private:
+    /** Columns of head @p h in @p m (n x d): the head's n x dh slice. */
     Matrix headSlice(const Matrix &m, size_t h) const;
+
+  private:
     void addHeadSlice(Matrix &dst, const Matrix &src, size_t h) const;
 
     size_t layer_;

@@ -8,10 +8,7 @@
 #include <ostream>
 
 #include "common/env.hpp"
-#include "tensor/int8_gemm.hpp"
-#include "tensor/int_softmax.hpp"
 #include "tensor/ops.hpp"
-#include "tensor/quant.hpp"
 #include "tensor/sparse_ops.hpp"
 
 namespace dota {
@@ -26,7 +23,7 @@ resolveChoiceFromEnv()
     if (!v.empty() && !parseAttnChoice(v, c))
         std::fprintf(stderr,
                      "dota: unknown DOTA_ATTN value '%s' (expected "
-                     "auto|dense|sparse|streaming|int8); using auto\n",
+                     "auto|dense|sparse|streaming); using auto\n",
                      v.c_str());
     return c;
 }
@@ -100,54 +97,6 @@ class StreamingBackend final : public AttentionBackend
     }
 };
 
-/**
- * Dynamically-quantized integer attention: per-head scales from the
- * live tensors, u8 x s8 maddubs GEMMs, ITA-style integer softmax. The
- * mask contract matches Dense (a dense 0/1 keep mask covering both the
- * hook mask and the causal triangle).
- */
-class Int8Backend final : public AttentionBackend
-{
-  public:
-    AttnBackendKind kind() const override { return AttnBackendKind::Int8; }
-    bool capturesScores() const override { return false; }
-
-    AttnHeadResult
-    runHead(const AttnHeadProblem &p) const override
-    {
-        const size_t n = p.q->rows();
-        const size_t t = p.k->rows();
-        // Per-head dynamic scales: 7-bit grid for the u8 query side,
-        // full s8 for keys/values (saturation-free maddubs operands).
-        const U8Tensor qq =
-            quantizeU8(*p.q, chooseSymmetricScale(*p.q, 7).scale);
-        const Int8Tensor kk =
-            quantizeS8(*p.k, chooseSymmetricScale(*p.k, 8).scale);
-        const Int8Tensor vt = quantizeS8Transposed(
-            *p.v, chooseSymmetricScale(*p.v, 8).scale);
-
-        std::vector<int32_t> raw(n * t);
-        int8GemmBT(qq, kk, raw.data());
-
-        const IntSoftmaxLut lut(qq.scale * kk.scale * p.scale);
-        const bool masked = p.dense_mask && !p.dense_mask->empty();
-        U8Tensor probs;
-        probs.rows = n;
-        probs.k = t;
-        probs.scale = lut.probScale();
-        probs.zero_point = 0;
-        probs.codes.resize(n * t);
-        for (size_t i = 0; i < n; ++i)
-            lut.softmaxRow(raw.data() + i * t, t,
-                           masked ? p.dense_mask->row(i) : nullptr,
-                           probs.codes.data() + i * t);
-
-        AttnHeadResult r;
-        r.z = int8MatmulBT(probs, vt);
-        return r;
-    }
-};
-
 } // namespace
 
 const char *
@@ -158,8 +107,6 @@ attnBackendName(AttnBackendKind kind)
         return "sparse";
     case AttnBackendKind::Streaming:
         return "streaming";
-    case AttnBackendKind::Int8:
-        return "int8";
     case AttnBackendKind::Dense:
         break;
     }
@@ -176,8 +123,6 @@ attnChoiceName(AttnChoice choice)
         return "sparse";
     case AttnChoice::Streaming:
         return "streaming";
-    case AttnChoice::Int8:
-        return "int8";
     case AttnChoice::Auto:
         break;
     }
@@ -195,8 +140,6 @@ parseAttnChoice(const std::string &v, AttnChoice &out)
         out = AttnChoice::Sparse;
     else if (v == "streaming")
         out = AttnChoice::Streaming;
-    else if (v == "int8")
-        out = AttnChoice::Int8;
     else
         return false;
     return true;
@@ -226,9 +169,7 @@ listAttnBackends(std::ostream &os)
        << "  sparse     CSR kernels at mask-kept coordinates; needs a "
           "hook mask; O(nnz) score memory\n"
        << "  streaming  tiled online softmax; O(tile) scores per "
-          "thread; 32k+ contexts; tolerance-level numerics\n"
-       << "  int8       dynamically-quantized u8 x s8 attention with "
-          "integer softmax; opt-in only; quantization-level numerics\n";
+          "thread; 32k+ contexts; tolerance-level numerics\n";
 }
 
 AttnBackendKind
@@ -253,12 +194,6 @@ resolveAttnBackend(AttnChoice choice, bool has_hook, bool wants_full_scores,
     case AttnChoice::Streaming:
         return streaming_legal ? AttnBackendKind::Streaming
                                : AttnBackendKind::Dense;
-    case AttnChoice::Int8:
-        // Same legality rule as streaming: the integer path drops S/A
-        // probes and backward, so hook-free short forwards stay dense
-        // (the full test suite remains green under DOTA_ATTN=int8).
-        return streaming_legal ? AttnBackendKind::Int8
-                               : AttnBackendKind::Dense;
     case AttnChoice::Auto:
         break;
     }
@@ -275,14 +210,11 @@ attentionBackend(AttnBackendKind kind)
     static const DenseBackend dense;
     static const SparseRowsBackend sparse;
     static const StreamingBackend streaming;
-    static const Int8Backend int8;
     switch (kind) {
     case AttnBackendKind::Sparse:
         return sparse;
     case AttnBackendKind::Streaming:
         return streaming;
-    case AttnBackendKind::Int8:
-        return int8;
     case AttnBackendKind::Dense:
         break;
     }

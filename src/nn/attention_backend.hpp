@@ -5,8 +5,7 @@
  * MultiHeadAttention::forward used to hard-code two execution paths
  * (dense, CSR-sparse). This layer factors each path into an
  * AttentionBackend so new paths (the tiled streaming kernel here;
- * int8/ITA-style or token-routing paths later) slot in without touching
- * every caller:
+ * token-routing paths later) slot in without touching every caller:
  *
  *  - DenseBackend: full n x n scores + masked softmax + dense A*V.
  *    The only backend that materializes S and A — required whenever a
@@ -18,17 +17,14 @@
  *  - StreamingBackend: tiled online-softmax kernel of
  *    tensor/streaming_attention.hpp; O(tile) score memory per thread,
  *    mask-kept tiles only. Matches dense within pinned tolerances.
- *  - Int8Backend: dynamically-quantized integer attention — u8 x s8
- *    maddubs GEMMs (tensor/int8_gemm.hpp) with ITA-style integer
- *    softmax (tensor/int_softmax.hpp); per-head scales from the live
- *    Q/K/V tensors. Opt-in only (never auto); quantization-level
- *    numerics. The calibrated end-to-end path lives in
- *    nn/int8_infer.hpp — this backend is the drop-in experiment knob.
+ *
+ * Integer attention is not a backend: the calibrated int8 path runs
+ * the whole block on the integer kernels (nn/infer_block.hpp).
  *
  * Selection is runtime-dispatched per head by resolveAttnBackend()
  * from: the hook's wantsFullScores() / setForceDense (hard dense
  * requirements), the sequence length (long contexts auto-stream), and
- * the DOTA_ATTN=auto|dense|sparse|streaming|int8 override (env or CLI,
+ * the DOTA_ATTN=auto|dense|sparse|streaming override (env or CLI,
  * mirroring DOTA_SIMD). Overrides never win over a hard dense
  * requirement and never select an illegal backend — they degrade to
  * dense, so DOTA_ATTN can be flipped under the whole test suite.
@@ -45,15 +41,15 @@
 namespace dota {
 
 /** The attention execution paths. */
-enum class AttnBackendKind { Dense, Sparse, Streaming, Int8 };
+enum class AttnBackendKind { Dense, Sparse, Streaming };
 
 /** User-facing backend selection (DOTA_ATTN / --attn). */
-enum class AttnChoice { Auto, Dense, Sparse, Streaming, Int8 };
+enum class AttnChoice { Auto, Dense, Sparse, Streaming };
 
 /** Sequence length at or above which auto-selection streams. */
 constexpr size_t kStreamingAutoSeqLen = 4096;
 
-/** Stable lowercase name ("dense" / "sparse" / "streaming" / "int8"). */
+/** Stable lowercase name ("dense" / "sparse" / "streaming"). */
 const char *attnBackendName(AttnBackendKind kind);
 
 /** Stable lowercase name, including "auto". */
@@ -61,7 +57,7 @@ const char *attnChoiceName(AttnChoice choice);
 
 /**
  * Parse a DOTA_ATTN / --attn value. Returns false (leaving @p out
- * untouched) for anything outside auto|dense|sparse|streaming|int8.
+ * untouched) for anything outside auto|dense|sparse|streaming.
  */
 bool parseAttnChoice(const std::string &v, AttnChoice &out);
 

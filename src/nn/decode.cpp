@@ -9,34 +9,29 @@
 #include <cstring>
 
 #include "common/crc32.hpp"
-#include "nn/attention_backend.hpp"
-#include "tensor/streaming_attention.hpp"
-#include "tensor/topk.hpp"
+#include "nn/infer_block.hpp"
 
 namespace dota {
 
 void
-KvCache::append(const Matrix &k_row, const Matrix &v_row)
+KvCache::append(const Matrix &k_rows, const Matrix &v_rows)
 {
-    DOTA_ASSERT(k_row.rows() == 1 && v_row.rows() == 1,
-                "cache rows must be single vectors");
-    if (k.empty()) {
-        k = k_row;
-        v = v_row;
-        mass.assign(1, 0.0);
-        return;
-    }
-    Matrix nk(k.rows() + 1, k.cols());
-    std::copy(k.data(), k.data() + k.size(), nk.data());
-    std::copy(k_row.data(), k_row.data() + k_row.size(),
-              nk.row(k.rows()));
-    Matrix nv(v.rows() + 1, v.cols());
-    std::copy(v.data(), v.data() + v.size(), nv.data());
-    std::copy(v_row.data(), v_row.data() + v_row.size(),
-              nv.row(v.rows()));
-    k = std::move(nk);
-    v = std::move(nv);
-    mass.push_back(0.0);
+    DOTA_ASSERT(k_rows.rows() == v_rows.rows(),
+                "K/V row counts differ: {} vs {}", k_rows.rows(),
+                v_rows.rows());
+    mass.resize(mass.size() + k_rows.rows(), 0.0);
+    const auto grow = [](Matrix &m, const Matrix &rows) {
+        if (m.empty()) {
+            m = rows;
+            return;
+        }
+        Matrix g(m.rows() + rows.rows(), m.cols());
+        std::copy(m.data(), m.data() + m.size(), g.data());
+        std::copy(rows.data(), rows.data() + rows.size(), g.row(m.rows()));
+        m = std::move(g);
+    };
+    grow(k, k_rows);
+    grow(v, v_rows);
 }
 
 size_t
@@ -177,105 +172,6 @@ importKv(const KvTransfer &transfer, DecodeState &dst)
     return true;
 }
 
-namespace {
-
-/** Incremental attention for one new token against a cache. */
-Matrix
-attentionStep(MultiHeadAttention &attn, const Matrix &x_row,
-              KvCache &cache, double retention)
-{
-    const size_t dh = attn.headDim();
-    const size_t heads = attn.heads();
-    const Matrix q = matmul(x_row, attn.wq());
-    const Matrix k_new = matmul(x_row, attn.wk());
-    const Matrix v_new = matmul(x_row, attn.wv());
-    cache.append(k_new, v_new);
-
-    const size_t t = cache.length();
-    const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(dh));
-    Matrix z(1, q.cols());
-
-    // Streaming single-query path: the same dispatch policy as the
-    // layer forward (explicit DOTA_ATTN=streaming, or auto once the
-    // cache outgrows the streaming threshold), dense-only semantics
-    // (retention == 1: dynamic top-k needs the full score row). The
-    // second tile pass feeds the same attention-mass telemetry.
-    const AttnChoice choice = attnChoice();
-    const bool stream =
-        retention >= 1.0 &&
-        (choice == AttnChoice::Streaming ||
-         (choice == AttnChoice::Auto && t >= kStreamingAutoSeqLen));
-    if (stream) {
-        std::vector<float> probs;
-        for (size_t h = 0; h < heads; ++h) {
-            const size_t off = h * dh;
-            streamingAttentionQuery(q.row(0) + off, cache.k, cache.v, off,
-                                    dh, inv_sqrt_dk, z.row(0) + off,
-                                    &probs);
-            for (size_t j = 0; j < t; ++j)
-                if (probs[j] != 0.0f)
-                    cache.mass[j] += probs[j];
-        }
-        return matmul(z, attn.wo());
-    }
-
-    for (size_t h = 0; h < heads; ++h) {
-        const size_t off = h * dh;
-        // Scores of the new query against all cached keys of this head.
-        Matrix scores(1, t);
-        for (size_t j = 0; j < t; ++j) {
-            float acc = 0.0f;
-            const float *kr = cache.k.row(j) + off;
-            const float *qr = q.row(0) + off;
-            for (size_t c = 0; c < dh; ++c)
-                acc += qr[c] * kr[c];
-            scores(0, j) = acc * inv_sqrt_dk;
-        }
-        Matrix probs;
-        if (retention < 1.0) {
-            const size_t keep = std::max<size_t>(
-                1, static_cast<size_t>(std::llround(
-                       retention * static_cast<double>(t))));
-            probs = rowSoftmaxMasked(scores, topkMask(scores, keep));
-        } else {
-            probs = rowSoftmax(scores);
-        }
-        for (size_t j = 0; j < t; ++j) {
-            const float w = probs(0, j);
-            if (w == 0.0f)
-                continue;
-            cache.mass[j] += w; // detector signal for evictWeak()
-            const float *vr = cache.v.row(j) + off;
-            for (size_t c = 0; c < dh; ++c)
-                z(0, off + c) += w * vr[c];
-        }
-    }
-    return matmul(z, attn.wo());
-}
-
-/** One encoder block, incrementally. */
-Matrix
-blockStep(EncoderBlock &blk, const Matrix &x_row, KvCache &cache,
-          double retention)
-{
-    const Matrix a = attentionStep(blk.attention(), x_row, cache,
-                                   retention);
-    Matrix mean, rstd;
-    const Matrix h1 = layerNorm(add(x_row, a), blk.ln1().gamma(),
-                                blk.ln1().beta(), mean, rstd);
-    const Matrix pre = addRowBroadcast(matmul(h1, blk.fc1().weight().value),
-                                       blk.fc1().bias().value);
-    const Matrix hidden =
-        blk.activation() == Activation::ReLU ? relu(pre) : gelu(pre);
-    const Matrix f = addRowBroadcast(
-        matmul(hidden, blk.fc2().weight().value),
-        blk.fc2().bias().value);
-    return layerNorm(add(h1, f), blk.ln2().gamma(), blk.ln2().beta(),
-                     mean, rstd);
-}
-
-} // namespace
-
 Matrix
 decodeStep(CausalLM &model, DecodeState &state, int token,
            double retention)
@@ -283,15 +179,13 @@ decodeStep(CausalLM &model, DecodeState &state, int token,
     const TransformerConfig &cfg = model.config();
     if (state.layers.size() != cfg.layers)
         state.reset(cfg.layers);
-    DOTA_ASSERT(state.position < cfg.max_seq,
-                "decode position {} exceeds max_seq {}", state.position,
-                cfg.max_seq);
-
-    Matrix h = model.tokenEmbedding().forward({token});
-    for (size_t c = 0; c < cfg.dim; ++c)
-        h(0, c) += model.positionTable()(state.position, c);
-    for (size_t l = 0; l < cfg.layers; ++l)
-        h = blockStep(*model.blocks()[l], h, state.layers[l], retention);
+    Matrix h = model.embed({token}, state.position);
+    BlockStep step;
+    step.retention = retention;
+    for (size_t l = 0; l < cfg.layers; ++l) {
+        step.cache = &state.layers[l];
+        h = inferBlock(*model.blocks()[l], h, step);
+    }
     ++state.position;
     return matmul(h, model.lmHead().weight().value);
 }
@@ -300,12 +194,23 @@ std::vector<int>
 generate(CausalLM &model, const std::vector<int> &prefix, size_t steps,
          double retention, double temperature, uint64_t seed)
 {
-    DOTA_ASSERT(!prefix.empty(), "generation needs a non-empty prefix");
     DecodeState state;
     state.reset(model.config().layers);
+    return sampleContinuation(
+        [&](int tok) { return decodeStep(model, state, tok, retention); },
+        prefix, steps, model.config().max_seq, temperature, seed);
+}
+
+std::vector<int>
+sampleContinuation(const std::function<Matrix(int)> &step,
+                   const std::vector<int> &prefix, size_t steps,
+                   size_t max_seq, double temperature, uint64_t seed)
+{
+    DOTA_ASSERT(!prefix.empty(), "generation needs a non-empty prefix");
     Matrix logits;
     for (int tok : prefix)
-        logits = decodeStep(model, state, tok, retention);
+        logits = step(tok);
+    size_t fed = prefix.size();
 
     Rng rng(seed);
     std::vector<int> out;
@@ -330,9 +235,10 @@ generate(CausalLM &model, const std::vector<int> &prefix, size_t steps,
             }
         }
         out.push_back(next);
-        if (state.position >= model.config().max_seq)
+        if (fed >= max_seq)
             break;
-        logits = decodeStep(model, state, next, retention);
+        logits = step(next);
+        ++fed;
     }
     return out;
 }

@@ -3,16 +3,18 @@
  * Incremental (KV-cached) autoregressive decoding — the software
  * counterpart of the decoder processing in Section 4.4.
  *
- * forwardIncremental() processes one new token against cached key/value
+ * decodeStep() runs one new token through every block with the
+ * inference block step (nn/infer_block.hpp) against cached key/value
  * matrices, optionally keeping only the strongest `retention` fraction
  * of past connections (row-balanced top-k, as the hardware comparator
- * would after detection). The dense incremental path is bit-equivalent
- * to the last row of the full causal forward, which the test suite
- * asserts.
+ * would after detection). The dense step is bit-identical to the
+ * matching row of the full causal forward, which the test suite
+ * asserts with EXPECT_EQ.
  */
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "nn/transformer.hpp"
@@ -39,8 +41,8 @@ struct KvCache
     /** KV bytes held (K + V payload, excluding the mass telemetry). */
     size_t bytes() const { return (k.size() + v.size()) * sizeof(float); }
 
-    /** Append one projected row to both caches. */
-    void append(const Matrix &k_row, const Matrix &v_row);
+    /** Append projected rows (same count) to both caches. */
+    void append(const Matrix &k_rows, const Matrix &v_rows);
 };
 
 /**
@@ -145,5 +147,17 @@ Matrix decodeStep(CausalLM &model, DecodeState &state, int token,
 std::vector<int> generate(CausalLM &model, const std::vector<int> &prefix,
                           size_t steps, double retention = 1.0,
                           double temperature = 0.0, uint64_t seed = 1);
+
+/**
+ * The sampling loop behind generate() and int8Generate(): feed
+ * @p prefix through @p step (one token in, its 1 x vocab logits out),
+ * then pick up to @p steps tokens — greedy at temperature <= 0, seeded
+ * softmax sampling otherwise — stopping once @p max_seq tokens have
+ * been fed. Returns only the generated tokens.
+ */
+std::vector<int> sampleContinuation(const std::function<Matrix(int)> &step,
+                                    const std::vector<int> &prefix,
+                                    size_t steps, size_t max_seq,
+                                    double temperature, uint64_t seed);
 
 } // namespace dota

@@ -4,7 +4,8 @@
  * calibration over a trained fp32 model, a quantized execution plan, and
  * full-sequence / incremental-decode forwards whose GEMMs all run on the
  * u8 x s8 kernels of tensor/int8_gemm.hpp with ITA-style integer softmax
- * between QK^T and A*V.
+ * between QK^T and A*V. Calibration and both forwards run the blocks
+ * through the one inference block step (nn/infer_block.hpp).
  *
  * Structure of the quantized block (LinearLayer weights W are held as
  * s8 W^T codes so every GEMM is the kernel's C = A * B^T shape):
@@ -26,9 +27,9 @@
  * integer GEMM is exact (tensor/int8_gemm.hpp), and the fp32 glue is
  * elementwise/per-row. Outputs are therefore bit-identical across
  * SIMD ISAs and DOTA_THREADS values, and the incremental decode path
- * reproduces the full-sequence forward's last row exactly — a stronger
- * contract than the fp path, where only matched reduction orders hold
- * it together.
+ * reproduces the full-sequence forward's last row exactly — by
+ * arithmetic, where the fp path's identical decode rests on matched
+ * reduction orders.
  */
 #pragma once
 
@@ -62,7 +63,8 @@ struct Int8Calibration
 
 /**
  * Run @p samples (token feature matrices) through the classifier in
- * fp32, recording max |x| at every quantization site.
+ * fp32, recording max |x| at every quantization site. Dense attention:
+ * an installed hook is neither consulted nor called.
  */
 Int8Calibration calibrateClassifier(TransformerClassifier &model,
                                     const std::vector<Matrix> &samples);
@@ -123,13 +125,11 @@ Matrix int8Forward(TransformerClassifier &model, const Int8Plan &plan,
 Matrix int8Forward(CausalLM &model, const Int8Plan &plan,
                    const std::vector<int> &ids);
 
-/** Per-layer integer KV cache for incremental int8 decoding. */
+/** Per-layer integer KV cache of the int8 block step. */
 struct Int8KvCache
 {
     size_t dim = 0;   ///< model dim (row width of the code arrays)
     size_t heads = 0;
-    float k_scale = 1.0f;
-    float v_scale = 1.0f;
     std::vector<int8_t> k_codes; ///< t x dim
     std::vector<int8_t> v_codes; ///< t x dim
     /**
@@ -140,9 +140,12 @@ struct Int8KvCache
     std::vector<int32_t> k_head_sums;
     size_t len = 0;
 
-    /** Quantize and append one fp K/V row pair. */
-    void append(const float *k_row, const float *v_row, size_t dim,
-                size_t heads);
+    /**
+     * Quantize (quantizeS8Row, the calibrated static scales) and append
+     * fp K/V rows of an @p n_heads-head layer.
+     */
+    void append(const Matrix &k_rows, const Matrix &v_rows, size_t n_heads,
+                float k_scale, float v_scale);
 };
 
 /** Decoding state for the int8 path. */

@@ -25,13 +25,7 @@ TransformerClassifier::forward(const Matrix &features)
     Matrix h = input_.forward(features);
     for (auto &blk : blocks_)
         h = blk->forward(h);
-    // Mean pooling over tokens.
-    Matrix pooled(1, cfg_.dim);
-    const float inv = 1.0f / static_cast<float>(last_n_);
-    for (size_t i = 0; i < h.rows(); ++i)
-        for (size_t j = 0; j < h.cols(); ++j)
-            pooled(0, j) += h(i, j) * inv;
-    return head_.forward(pooled);
+    return head_.forward(meanRows(h));
 }
 
 void
@@ -96,16 +90,23 @@ CausalLM::CausalLM(const TransformerConfig &cfg)
 }
 
 Matrix
-CausalLM::forward(const std::vector<int> &ids)
+CausalLM::embed(const std::vector<int> &ids, size_t start)
 {
-    DOTA_ASSERT(ids.size() <= cfg_.max_seq,
-                "sequence length {} exceeds max {}", ids.size(),
+    DOTA_ASSERT(start + ids.size() <= cfg_.max_seq,
+                "sequence end {} exceeds max_seq {}", start + ids.size(),
                 cfg_.max_seq);
-    last_n_ = ids.size();
     Matrix h = tok_.forward(ids);
     for (size_t i = 0; i < h.rows(); ++i)
         for (size_t j = 0; j < h.cols(); ++j)
-            h(i, j) += pos_.value(i, j);
+            h(i, j) += pos_.value(start + i, j);
+    return h;
+}
+
+Matrix
+CausalLM::forward(const std::vector<int> &ids)
+{
+    last_n_ = ids.size();
+    Matrix h = embed(ids);
     for (auto &blk : blocks_)
         h = blk->forward(h);
     return head_.forward(h);

@@ -119,6 +119,13 @@ class CausalLM : public Module
     const TransformerConfig &config() const { return cfg_; }
     std::vector<std::unique_ptr<EncoderBlock>> &blocks() { return blocks_; }
 
+    /**
+     * Token + learned position embedding of @p ids placed at positions
+     * [start, start + ids.size()); fatal past max_seq. Shared by the
+     * full forward and the incremental decode paths.
+     */
+    Matrix embed(const std::vector<int> &ids, size_t start = 0);
+
     /** Accessors for the incremental decode path. */
     EmbeddingLayer &tokenEmbedding() { return tok_; }
     const Matrix &positionTable() const { return pos_.value; }

@@ -252,11 +252,8 @@ sparseScoreRowAvx2(const float *q, const Matrix &keys,
 
 void
 sparseAvRowAvx2(const float *vals, const uint32_t *cols, size_t nnz,
-                const Matrix &v, float *out)
+                const float *vd, size_t ldv, size_t d, float *out)
 {
-    const size_t d = v.cols();
-    const size_t ldv = d;
-    const float *vd = v.data();
     size_t c0 = 0;
     // 64-column register panel: the whole output slice lives in 8 YMM
     // accumulators across the t-fold, so V rows are touched once each.

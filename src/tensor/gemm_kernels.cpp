@@ -99,15 +99,14 @@ sparseScoreRowPortable(const float *q, const Matrix &keys,
 
 void
 sparseAvRowPortable(const float *vals, const uint32_t *cols, size_t nnz,
-                    const Matrix &v, float *out)
+                    const float *v, size_t ldv, size_t width, float *out)
 {
-    const size_t d = v.cols();
-    for (size_t c = 0; c < d; ++c)
+    for (size_t c = 0; c < width; ++c)
         out[c] = 0.0f;
     for (size_t t = 0; t < nnz; ++t) {
         const float av = vals[t];
-        const float *vrow = v.row(cols[t]);
-        for (size_t c = 0; c < d; ++c)
+        const float *vrow = v + cols[t] * ldv;
+        for (size_t c = 0; c < width; ++c)
             out[c] = std::fma(av, vrow[c], out[c]);
     }
 }

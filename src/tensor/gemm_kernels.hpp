@@ -79,12 +79,16 @@ struct GemmKernelTable
                            const uint32_t *cols, size_t nnz, float *out);
 
     /**
-     * One output row of the sparse A*V kernel: for c in [0, v.cols()),
+     * One output row of the sparse A*V kernel over a strided value
+     * block whose row r starts at v + r * ldv: for c in [0, width),
      * out[c] = broadcast-FMA fold over t ascending of
-     * fma(vals[t], v(cols[t], c), acc), overwriting out.
+     * fma(vals[t], v[cols[t] * ldv + c], acc), overwriting out. A whole
+     * Matrix V is (v.data(), v.cols(), v.cols()); one head of a t x d
+     * KV cache is (data + h * dh, d, dh).
      */
     void (*sparseAvRow)(const float *vals, const uint32_t *cols,
-                        size_t nnz, const Matrix &v, float *out);
+                        size_t nnz, const float *v, size_t ldv,
+                        size_t width, float *out);
 
     /**
      * Integer GEMM rows [i0, i1) of C = A * B^T on quantized codes:

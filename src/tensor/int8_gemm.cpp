@@ -37,21 +37,17 @@ safeInvScale(float scale)
 
 } // namespace
 
-void
-Int8Tensor::appendRow(const float *x, size_t n)
+int32_t
+quantizeS8Row(const float *x, size_t n, float scale, int8_t *out)
 {
-    DOTA_ASSERT(k == 0 || n == k, "appendRow width {} != {}", n, k);
-    k = n;
     const float inv = safeInvScale(scale);
     int32_t sum = 0;
-    codes.reserve(codes.size() + n);
     for (size_t p = 0; p < n; ++p) {
         const int code = roundCode(x[p], inv, kS8Qmax);
-        codes.push_back(static_cast<int8_t>(code));
+        out[p] = static_cast<int8_t>(code);
         sum += code;
     }
-    row_sums.push_back(sum);
-    ++rows;
+    return sum;
 }
 
 Int8Tensor
@@ -63,18 +59,9 @@ quantizeS8(const Matrix &m, float scale)
     t.scale = scale;
     t.codes.resize(t.rows * t.k);
     t.row_sums.resize(t.rows);
-    const float inv = safeInvScale(scale);
-    for (size_t r = 0; r < t.rows; ++r) {
-        const float *src = m.row(r);
-        int8_t *dst = t.codes.data() + r * t.k;
-        int32_t sum = 0;
-        for (size_t p = 0; p < t.k; ++p) {
-            const int code = roundCode(src[p], inv, kS8Qmax);
-            dst[p] = static_cast<int8_t>(code);
-            sum += code;
-        }
-        t.row_sums[r] = sum;
-    }
+    for (size_t r = 0; r < t.rows; ++r)
+        t.row_sums[r] = quantizeS8Row(m.row(r), t.k, scale,
+                                      t.codes.data() + r * t.k);
     return t;
 }
 
@@ -193,12 +180,10 @@ int8MatmulBT(const U8Tensor &a, const Int8Tensor &b, const Matrix *bias)
 }
 
 int32_t
-int8DotCompensated(const uint8_t *a, int zero_point, const Int8Tensor &b,
-                   size_t j, size_t k)
+int8DotCompensated(const uint8_t *a, int zero_point, const int8_t *b,
+                   int32_t b_sum, size_t k)
 {
-    DOTA_ASSERT(j < b.rows && k == b.k, "int8DotCompensated row {}", j);
-    const int32_t raw = activeGemmKernels().int8Dot(a, b.row(j), k);
-    return raw - zero_point * b.row_sums[j];
+    return activeGemmKernels().int8Dot(a, b, k) - zero_point * b_sum;
 }
 
 } // namespace dota

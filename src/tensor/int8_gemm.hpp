@@ -61,9 +61,6 @@ struct Int8Tensor
 
     const int8_t *row(size_t r) const { return codes.data() + r * k; }
     bool empty() const { return rows == 0; }
-
-    /** Append one quantized row (decode-time KV growth). */
-    void appendRow(const float *x, size_t n);
 };
 
 /** A-side operand: rows x k unsigned codes, zero point + scale. */
@@ -79,9 +76,14 @@ struct U8Tensor
 };
 
 /**
- * Quantize @p m row-for-row onto the s8 grid with the calibrated
- * @p scale (out-of-range values saturate at ±127, NaN maps to 0).
+ * Quantize @p n floats onto the s8 grid with the calibrated @p scale
+ * into @p out (out-of-range values saturate at ±127, NaN maps to 0) and
+ * return the sum of the codes. The row kernel of quantizeS8, and the
+ * quantizer of the int8 KV cache (nn/int8_infer.hpp).
  */
+int32_t quantizeS8Row(const float *x, size_t n, float scale, int8_t *out);
+
+/** Quantize @p m row-for-row with quantizeS8Row. */
 Int8Tensor quantizeS8(const Matrix &m, float scale);
 
 /** As quantizeS8 but encodes m^T (row r of the result = column r of m). */
@@ -115,10 +117,11 @@ Matrix int8MatmulBT(const U8Tensor &a, const Int8Tensor &b,
                     const Matrix *bias = nullptr);
 
 /**
- * Exact s32 dot of one u8 code row against one s8 code row with zero-
- * point compensation — the decode-time single-query score kernel.
+ * Exact s32 dot of k u8 codes @p a against k s8 codes @p b whose sum
+ * is @p b_sum, with zero-point compensation: one element of int8GemmBT,
+ * and the int8 attention's score of a query against one cached key.
  */
 int32_t int8DotCompensated(const uint8_t *a, int zero_point,
-                           const Int8Tensor &b, size_t j, size_t k);
+                           const int8_t *b, int32_t b_sum, size_t k);
 
 } // namespace dota

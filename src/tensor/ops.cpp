@@ -191,24 +191,40 @@ addRowBroadcast(const Matrix &a, const Matrix &bias)
 }
 
 Matrix
+meanRows(const Matrix &a)
+{
+    Matrix m(1, a.cols());
+    const float inv = 1.0f / static_cast<float>(a.rows());
+    for (size_t i = 0; i < a.rows(); ++i)
+        for (size_t j = 0; j < a.cols(); ++j)
+            m(0, j) += a(i, j) * inv;
+    return m;
+}
+
+void
+softmaxInPlace(float *x, size_t n)
+{
+    if (n == 0)
+        return; // no kept entries: nothing to normalize
+    float mx = -std::numeric_limits<float>::infinity();
+    for (size_t j = 0; j < n; ++j)
+        mx = std::max(mx, x[j]);
+    double denom = 0.0;
+    for (size_t j = 0; j < n; ++j) {
+        x[j] = std::exp(x[j] - mx);
+        denom += x[j];
+    }
+    const float inv = static_cast<float>(1.0 / denom);
+    for (size_t j = 0; j < n; ++j)
+        x[j] *= inv;
+}
+
+Matrix
 rowSoftmax(const Matrix &a)
 {
-    Matrix y(a.rows(), a.cols());
-    for (size_t i = 0; i < a.rows(); ++i) {
-        const float *x = a.row(i);
-        float *out = y.row(i);
-        float mx = -std::numeric_limits<float>::infinity();
-        for (size_t j = 0; j < a.cols(); ++j)
-            mx = std::max(mx, x[j]);
-        double denom = 0.0;
-        for (size_t j = 0; j < a.cols(); ++j) {
-            out[j] = std::exp(x[j] - mx);
-            denom += out[j];
-        }
-        const float inv = static_cast<float>(1.0 / denom);
-        for (size_t j = 0; j < a.cols(); ++j)
-            out[j] *= inv;
-    }
+    Matrix y = a;
+    for (size_t i = 0; i < y.rows(); ++i)
+        softmaxInPlace(y.row(i), y.cols());
     return y;
 }
 

@@ -48,6 +48,17 @@ Matrix scale(const Matrix &a, float s);
 /** Add row-vector @p bias (1 x cols) to every row of @p a. */
 Matrix addRowBroadcast(const Matrix &a, const Matrix &bias);
 
+/** Mean of the rows of @p a as one 1 x cols row (mean pooling). */
+Matrix meanRows(const Matrix &a);
+
+/**
+ * Softmax of @p n values in place: float max and exponentials, a double
+ * normalizer summed in ascending order, one float reciprocal. The row
+ * operation of rowSoftmax, and of rowSoftmaxMasked over a row's kept
+ * entries.
+ */
+void softmaxInPlace(float *x, size_t n);
+
 /** Row-wise softmax. */
 Matrix rowSoftmax(const Matrix &a);
 

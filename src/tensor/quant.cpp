@@ -87,19 +87,25 @@ symmetricScaleFromMaxAbs(float max_abs, int qmax)
     return max_abs / static_cast<float>(qmax);
 }
 
-QuantParams
-chooseSymmetricScale(const Matrix &m, int bits)
+float
+maxAbsFinite(const Matrix &m)
 {
-    DOTA_ASSERT(bits >= 2 && bits <= 16, "unsupported bit width {}", bits);
     float max_abs = 0.0f;
     for (size_t i = 0; i < m.size(); ++i) {
         const float a = std::abs(m.data()[i]);
         if (std::isfinite(a))
             max_abs = std::max(max_abs, a);
     }
+    return max_abs;
+}
+
+QuantParams
+chooseSymmetricScale(const Matrix &m, int bits)
+{
+    DOTA_ASSERT(bits >= 2 && bits <= 16, "unsupported bit width {}", bits);
     QuantParams p;
     p.bits = bits;
-    p.scale = symmetricScaleFromMaxAbs(max_abs, p.qmax());
+    p.scale = symmetricScaleFromMaxAbs(maxAbsFinite(m), p.qmax());
     return p;
 }
 

@@ -52,6 +52,9 @@ struct QuantParams
     int qmax() const { return (1 << (bits - 1)) - 1; }
 };
 
+/** Largest finite |x| over @p m; 0 when no element is finite. */
+float maxAbsFinite(const Matrix &m);
+
 /**
  * Pick the symmetric scale so max |x| maps onto the integer range.
  * Non-finite elements are ignored when scanning for max |x| (a NaN or

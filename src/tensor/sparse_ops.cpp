@@ -11,7 +11,6 @@
 #include "tensor/sparse_ops.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/thread_pool.hpp"
@@ -94,24 +93,13 @@ maskedSoftmax(const CsrMatrix &s, float scale)
     CsrMatrix y = s;
     for (size_t r = 0; r < y.rows; ++r) {
         const uint32_t t0 = y.row_ptr[r], t1 = y.row_ptr[r + 1];
-        if (t0 == t1)
-            continue; // no kept entries: the dense path's all-zero row
-        float *v = y.val.data();
         // One rounding for the scaling, as scale() does in the dense
-        // path, then the exact rowSoftmaxMasked operation sequence.
-        float mx = -std::numeric_limits<float>::infinity();
-        for (uint32_t t = t0; t < t1; ++t) {
-            v[t] = s.val[t] * scale;
-            mx = std::max(mx, v[t]);
-        }
-        double denom = 0.0;
-        for (uint32_t t = t0; t < t1; ++t) {
-            v[t] = std::exp(v[t] - mx);
-            denom += v[t];
-        }
-        const float inv = static_cast<float>(1.0 / denom);
+        // path, then the exact rowSoftmaxMasked operation sequence. A
+        // row without kept entries stays empty: the dense all-zero row.
+        float *v = y.val.data();
         for (uint32_t t = t0; t < t1; ++t)
-            v[t] *= inv;
+            v[t] = s.val[t] * scale;
+        softmaxInPlace(v + t0, t1 - t0);
     }
     return y;
 }
@@ -127,7 +115,8 @@ sparseRowsMatmul(const CsrMatrix &a, const Matrix &v)
         for (size_t r = r0; r < r1; ++r) {
             const uint32_t t0 = a.row_ptr[r];
             kt.sparseAvRow(a.val.data() + t0, a.col.data() + t0,
-                           a.row_ptr[r + 1] - t0, v, out.row(r));
+                           a.row_ptr[r + 1] - t0, v.data(), v.cols(),
+                           v.cols(), out.row(r));
         }
     };
     const uint64_t macs = static_cast<uint64_t>(a.nnz()) * v.cols();

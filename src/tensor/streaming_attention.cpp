@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "common/thread_pool.hpp"
 #include "tensor/gemm_kernels.hpp"
@@ -67,7 +68,7 @@ foldTile(const float *qrow, const Matrix &k, const Matrix &v,
     }
 
     // One tile of probabilities against V (broadcast-FMA contract).
-    kt.sparseAvRow(s, cols, cnt, v, tmp);
+    kt.sparseAvRow(s, cols, cnt, v.data(), v.cols(), v.cols(), tmp);
 
     const size_t d = v.cols();
     if (st.first) {
@@ -175,6 +176,7 @@ streamingAttentionQuery(const float *qrow, const Matrix &k, const Matrix &v,
     tile = std::max<size_t>(1, tile);
     const auto &kt = activeGemmKernels();
 
+    std::vector<uint32_t> cols(tile);
     std::vector<float> s(tile);
     std::vector<float> tmp(dh);
     std::vector<float> acc(dh, 0.0f);
@@ -185,6 +187,8 @@ streamingAttentionQuery(const float *qrow, const Matrix &k, const Matrix &v,
     for (size_t t0 = 0; t0 < t; t0 += tile) {
         const size_t t1 = std::min(t, t0 + tile);
         const size_t cnt = t1 - t0;
+        std::iota(cols.begin(), cols.begin() + cnt,
+                  static_cast<uint32_t>(t0));
         float tile_max = -std::numeric_limits<float>::infinity();
         for (size_t i = 0; i < cnt; ++i) {
             s[i] = kt.dot(qrow, k.row(t0 + i) + off, dh) * scale;
@@ -196,14 +200,10 @@ streamingAttentionQuery(const float *qrow, const Matrix &k, const Matrix &v,
             s[i] = std::exp(s[i] - m_new);
             tile_sum += s[i];
         }
-        // Strided AV fold (cache rows are dim-wide, this head is a
-        // dh-slice): broadcast-FMA over kept keys ascending.
-        std::fill(tmp.begin(), tmp.end(), 0.0f);
-        for (size_t i = 0; i < cnt; ++i) {
-            const float *vr = v.row(t0 + i) + off;
-            for (size_t c = 0; c < dh; ++c)
-                tmp[c] = std::fma(s[i], vr[c], tmp[c]);
-        }
+        // Strided AV fold: cache rows are dim-wide, this head is the
+        // dh-slice at off.
+        kt.sparseAvRow(s.data(), cols.data(), cnt, v.data() + off,
+                       v.cols(), dh, tmp.data());
         if (first) {
             std::copy(tmp.begin(), tmp.end(), acc.begin());
             l = tile_sum;

@@ -2,16 +2,17 @@
  * @file
  * Tests for the integer-only inference path (nn/int8_infer.hpp): plan
  * quantization, full-sequence forward accuracy against the fp32 model,
- * the incremental-decode bit-identity contract, and the int8 attention
- * backend's legality rules and numerics.
+ * the incremental-decode bit-identity contract, the hooked int8
+ * forward, and calibration's independence from installed hooks.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "nn/attention_backend.hpp"
 #include "nn/int8_infer.hpp"
 #include "nn/transformer.hpp"
 #include "tensor/ops.hpp"
@@ -154,74 +155,128 @@ TEST(Int8Infer, GenerateIsDeterministic)
     EXPECT_EQ(sampled_a, sampled_b);
 }
 
-// ---------------------------------------------------------------------
-// Attention backend dispatch and numerics
-// ---------------------------------------------------------------------
-
-TEST(Int8Backend, ResolveLegality)
+/** Inference hook serving one fixed mask and logging every call. */
+class FixedMaskHook : public AttentionHook
 {
-    const auto resolve = [](AttnChoice c, bool hook, bool wants_full,
-                            bool force, bool mask, size_t n) {
-        return resolveAttnBackend(c, hook, wants_full, force, mask, n);
-    };
-    // With a hook (inference) the int8 choice applies at any length.
-    EXPECT_EQ(resolve(AttnChoice::Int8, true, false, false, false, 16),
-              AttnBackendKind::Int8);
-    // Hook-free short forwards keep their dense probes and backward.
-    EXPECT_EQ(resolve(AttnChoice::Int8, false, false, false, false, 16),
-              AttnBackendKind::Dense);
-    // Hook-free long sequences may run integer attention.
-    EXPECT_EQ(resolve(AttnChoice::Int8, false, false, false, false,
-                      kStreamingAutoSeqLen),
-              AttnBackendKind::Int8);
-    // Hard dense requirements always win.
-    EXPECT_EQ(resolve(AttnChoice::Int8, true, true, false, false, 4096),
-              AttnBackendKind::Dense);
-    EXPECT_EQ(resolve(AttnChoice::Int8, true, false, true, false, 4096),
-              AttnBackendKind::Dense);
-}
+  public:
+    explicit FixedMaskHook(Matrix mask) : mask_(std::move(mask)) {}
 
-TEST(Int8Backend, ParseAndName)
-{
-    AttnChoice c = AttnChoice::Auto;
-    EXPECT_TRUE(parseAttnChoice("int8", c));
-    EXPECT_EQ(c, AttnChoice::Int8);
-    const AttentionBackend &b = attentionBackend(AttnBackendKind::Int8);
-    EXPECT_EQ(b.kind(), AttnBackendKind::Int8);
-    EXPECT_FALSE(b.capturesScores());
-    EXPECT_STREQ(b.name(), "int8");
-}
+    void
+    beginLayer(size_t layer, const Matrix &x) override
+    {
+        calls.push_back("begin " + std::to_string(layer));
+        x_rows = x.rows();
+    }
+    void
+    observeQK(size_t layer, size_t head, const Matrix &q,
+              const Matrix &k) override
+    {
+        calls.push_back("qk " + std::to_string(layer) + "." +
+                        std::to_string(head));
+        q_shape = {q.rows(), q.cols()};
+        k_shape = {k.rows(), k.cols()};
+    }
+    Matrix
+    selectMask(size_t layer, size_t head, bool) override
+    {
+        calls.push_back("select " + std::to_string(layer) + "." +
+                        std::to_string(head));
+        return mask_;
+    }
+    void
+    observeScores(size_t, size_t, const Matrix &) override
+    {
+        calls.push_back("scores");
+    }
+    bool wantsFullScores() const override { return false; }
+    Matrix scoreGradient(size_t, size_t) override { return Matrix(); }
 
-TEST(Int8Backend, HeadMatchesDenseWithinQuantTolerance)
+    std::vector<std::string> calls;
+    size_t x_rows = 0;
+    std::pair<size_t, size_t> q_shape, k_shape;
+
+  private:
+    Matrix mask_;
+};
+
+TEST(Int8Infer, HookedClassifierForwardHonoursMask)
 {
-    Rng rng(30);
-    const size_t n = 20, dh = 16;
-    const Matrix q = Matrix::randomNormal(n, dh, rng);
-    const Matrix k = Matrix::randomNormal(n, dh, rng);
-    const Matrix v = Matrix::randomNormal(n, dh, rng);
-    Matrix causal(n, n);
+    // The hooked int8 forward (bench_fig11's DOTA-int8 column): the
+    // hook sees the fp call order of Attention.HookCallOrderAndPayloads
+    // and its mask gates the integer softmax.
+    const TransformerConfig cfg = classifierConfig();
+    TransformerClassifier model(cfg);
+    Rng rng(51);
+    std::vector<Matrix> calib;
+    for (int i = 0; i < 4; ++i)
+        calib.push_back(Matrix::randomNormal(10, 12, rng));
+    const Int8Plan plan =
+        quantizeClassifier(model, calibrateClassifier(model, calib));
+    const Matrix features = Matrix::randomNormal(10, 12, rng);
+    const size_t n = features.rows();
+    const Matrix plain = int8Forward(model, plan, features);
+
+    FixedMaskHook all(Matrix(n, n, 1.0f));
+    model.setHook(&all);
+    const Matrix kept_all = int8Forward(model, plan, features);
+    std::vector<std::string> expected;
+    for (size_t l = 0; l < cfg.layers; ++l) {
+        expected.push_back("begin " + std::to_string(l));
+        for (size_t h = 0; h < cfg.heads; ++h) {
+            const std::string lh =
+                std::to_string(l) + "." + std::to_string(h);
+            expected.push_back("qk " + lh);
+            expected.push_back("select " + lh);
+        }
+    }
+    EXPECT_EQ(all.calls, expected);
+    EXPECT_EQ(all.x_rows, n);
+    EXPECT_EQ(all.q_shape, std::make_pair(n, cfg.headDim()));
+    EXPECT_EQ(all.k_shape, std::make_pair(n, cfg.headDim()));
+    ASSERT_EQ(kept_all.cols(), plain.cols());
+    for (size_t j = 0; j < plain.cols(); ++j)
+        EXPECT_EQ(kept_all(0, j), plain(0, j)) << "class " << j;
+
+    Matrix one_key(n, n);
     for (size_t i = 0; i < n; ++i)
-        for (size_t j = 0; j <= i; ++j)
-            causal.row(i)[j] = 1.0f;
+        one_key(i, (i + 3) % n) = 1.0f;
+    FixedMaskHook sparse(one_key);
+    model.setHook(&sparse);
+    const Matrix kept_one = int8Forward(model, plan, features);
+    model.setHook(nullptr);
+    EXPECT_FALSE(Matrix::allClose(kept_one, plain, 1e-6f));
+}
 
-    AttnHeadProblem p;
-    p.q = &q;
-    p.k = &k;
-    p.v = &v;
-    p.scale = 1.0f / std::sqrt(static_cast<float>(dh));
-    p.dense_mask = &causal;
+TEST(Int8Infer, CalibrationIgnoresInstalledHook)
+{
+    // Calibration records the dense fp32 ranges: an installed hook is
+    // never consulted and leaves every range unchanged.
+    TransformerClassifier model(classifierConfig());
+    Rng rng(52);
+    std::vector<Matrix> calib;
+    for (int i = 0; i < 3; ++i)
+        calib.push_back(Matrix::randomNormal(10, 12, rng));
+    const Int8Calibration plain = calibrateClassifier(model, calib);
 
-    const AttnHeadResult dense =
-        attentionBackend(AttnBackendKind::Dense).runHead(p);
-    const AttnHeadResult i8 =
-        attentionBackend(AttnBackendKind::Int8).runHead(p);
-    ASSERT_EQ(i8.z.rows(), dense.z.rows());
-    ASSERT_EQ(i8.z.cols(), dense.z.cols());
-    EXPECT_LT(relMse(dense.z, i8.z), 0.01);
-    EXPECT_LT(Matrix::maxAbsDiff(dense.z, i8.z), 0.2);
-    // Masked (future) positions never leak: row 0 attends only to 0.
-    for (size_t j = 0; j < dh; ++j)
-        EXPECT_NEAR(i8.z(0, j), v(0, j), 0.05);
+    FixedMaskHook hook(Matrix::identity(10));
+    model.setHook(&hook);
+    const Int8Calibration hooked = calibrateClassifier(model, calib);
+    model.setHook(nullptr);
+    EXPECT_TRUE(hook.calls.empty());
+    EXPECT_EQ(hooked.input, plain.input);
+    EXPECT_EQ(hooked.final_h, plain.final_h);
+    ASSERT_EQ(hooked.layers.size(), plain.layers.size());
+    for (size_t l = 0; l < plain.layers.size(); ++l) {
+        const Int8LayerRanges &a = plain.layers[l];
+        const Int8LayerRanges &b = hooked.layers[l];
+        EXPECT_EQ(b.x, a.x) << "layer " << l;
+        EXPECT_EQ(b.q, a.q) << "layer " << l;
+        EXPECT_EQ(b.k, a.k) << "layer " << l;
+        EXPECT_EQ(b.v, a.v) << "layer " << l;
+        EXPECT_EQ(b.z, a.z) << "layer " << l;
+        EXPECT_EQ(b.h1, a.h1) << "layer " << l;
+        EXPECT_EQ(b.hidden, a.hidden) << "layer " << l;
+    }
 }
 
 } // namespace

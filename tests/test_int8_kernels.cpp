@@ -118,7 +118,8 @@ TEST(Int8Kernels, DotCompensatedMatchesGemmRow)
     std::vector<int32_t> c(3 * 5);
     int8GemmBT(p.a, p.b, c.data());
     for (size_t j = 0; j < 5; ++j)
-        EXPECT_EQ(int8DotCompensated(p.a.row(1), p.a.zero_point, p.b, j, 40),
+        EXPECT_EQ(int8DotCompensated(p.a.row(1), p.a.zero_point,
+                                     p.b.row(j), p.b.row_sums[j], 40),
                   c[1 * 5 + j]);
 }
 
@@ -139,23 +140,6 @@ TEST(Int8Kernels, MatmulBTMatchesDequantizedFloatProduct)
         for (size_t j = 0; j < 4; ++j)
             EXPECT_NEAR(with_bias(i, j), got(i, j) + bias(0, j),
                         1e-5);
-}
-
-TEST(Int8Kernels, AppendRowMatchesBatchQuantization)
-{
-    // Decode-time KV growth appends rows one at a time; the result must
-    // be code-for-code identical to batch quantizeS8 of the full matrix
-    // (that is what makes decode == full-sequence forward).
-    Rng rng(11);
-    const Matrix m = Matrix::randomNormal(6, 16, rng);
-    const float scale = 2.5f / kS8Qmax;
-    const Int8Tensor batch = quantizeS8(m, scale);
-    Int8Tensor inc;
-    inc.scale = scale;
-    for (size_t r = 0; r < m.rows(); ++r)
-        inc.appendRow(m.row(r), m.cols());
-    EXPECT_EQ(inc.codes, batch.codes);
-    EXPECT_EQ(inc.row_sums, batch.row_sums);
 }
 
 TEST(Int8Kernels, TransposedQuantizationEncodesColumns)

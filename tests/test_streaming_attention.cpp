@@ -289,6 +289,7 @@ TEST(AttnBackend, ParseAndNames)
     EXPECT_TRUE(parseAttnChoice("dense", c));
     EXPECT_TRUE(parseAttnChoice("sparse", c));
     EXPECT_FALSE(parseAttnChoice("flash", c));
+    EXPECT_FALSE(parseAttnChoice("int8", c)); // int8 is a plan, not a backend
     EXPECT_FALSE(parseAttnChoice("", c));
 
     EXPECT_EQ(attnBackendName(AttnBackendKind::Dense),
