@@ -13,7 +13,9 @@
  * `--smoke` runs a fixed-shape dense-vs-sparse attention comparison and
  * exits non-zero unless the sparse path is faster at 25% retention and
  * numerically identical on kept coordinates — the CI guard that the
- * Level-2 kernels actually deliver the omission speedup.
+ * Level-2 kernels actually deliver the omission speedup — and unless a
+ * causal MultiHeadAttention forward with the DOTA detector installed,
+ * detection included, beats the dense forward at n = 2048.
  */
 #include <benchmark/benchmark.h>
 
@@ -25,6 +27,7 @@
 
 #include "common/thread_pool.hpp"
 #include "detect/detector.hpp"
+#include "nn/attention.hpp"
 #include "sched/dataflow.hpp"
 #include "tensor/gemm_kernels.hpp"
 #include "tensor/int8_gemm.hpp"
@@ -117,6 +120,43 @@ BM_TopkMask(benchmark::State &state)
         benchmark::DoNotOptimize(topkMask(s, k));
 }
 BENCHMARK(BM_TopkMask)->Arg(128)->Arg(512);
+
+/** Model shape of the detector benchmarks: d = 256, 4 heads. */
+TransformerConfig
+detectorBenchModel()
+{
+    TransformerConfig mc;
+    mc.dim = 256;
+    mc.heads = 4;
+    mc.layers = 1;
+    mc.ffn_dim = 1024;
+    return mc;
+}
+
+/** An inference DotaDetector: top-k at 25% retention, no training. */
+DetectorConfig
+inferenceDetectorConfig()
+{
+    DetectorConfig dc;
+    dc.retention = 0.25;
+    dc.train = false;
+    return dc;
+}
+
+void
+BM_DetectorSelect(benchmark::State &state)
+{
+    // One causal head's detection at inference: Q~/K~ projections, the
+    // row-tiled estimate and the radix top-k straight into CSR rows.
+    const auto n = static_cast<size_t>(state.range(0));
+    const TransformerConfig mc = detectorBenchModel();
+    DotaDetector det(mc, inferenceDetectorConfig());
+    Rng rng(11);
+    det.beginLayer(0, Matrix::randomNormal(n, mc.dim, rng));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(det.selectSparseMask(0, 0, true));
+}
+BENCHMARK(BM_DetectorSelect)->Arg(512)->Arg(2048);
 
 void
 BM_Softmax(benchmark::State &state)
@@ -294,6 +334,7 @@ bestSeconds(Fn &&fn, int reps)
     return best;
 }
 
+int runDetectedMhaSmoke();
 int runInt8Smoke();
 
 /**
@@ -341,6 +382,52 @@ runSmoke()
         std::fprintf(stderr,
                      "smoke: FAIL — sparse attention is not faster than "
                      "dense at 25%% retention\n");
+        return 1;
+    }
+    return runDetectedMhaSmoke();
+}
+
+/**
+ * Detection included: a causal MultiHeadAttention (d = 256, 4 heads)
+ * forward with an inference DotaDetector (top-k, 25% retention)
+ * installed, against the same layer's hook-free dense forward. The
+ * detected forward pays for the Q~/K~ projections, the estimate and the
+ * selection, then runs the CSR backend; it must win at n = 2048. The
+ * ratios at 512 and 1024 are printed only (n = 512 is about break-even).
+ * Chains into runInt8Smoke().
+ */
+int
+runDetectedMhaSmoke()
+{
+    ScopedAttnChoice pin(AttnChoice::Auto);
+    const TransformerConfig mc = detectorBenchModel();
+    DotaDetector det(mc, inferenceDetectorConfig());
+    Rng rng(12);
+    MultiHeadAttention attn("smoke", 0, mc.dim, mc.heads, rng,
+                            /*causal=*/true);
+    const int reps = 3;
+    double ratio = 0.0;
+    for (size_t n : {512u, 1024u, 2048u}) {
+        const Matrix x = Matrix::randomNormal(n, mc.dim, rng);
+        attn.setHook(nullptr);
+        const double td = bestSeconds([&] { return attn.forward(x); }, reps);
+        attn.setHook(&det);
+        const double tdet =
+            bestSeconds([&] { return attn.forward(x); }, reps);
+        if (!attn.lastForwardSparse()) {
+            std::fprintf(stderr, "smoke: FAIL — the detected forward did "
+                                 "not take the sparse backend\n");
+            return 1;
+        }
+        ratio = tdet / td;
+        std::printf("smoke: causal MHA d=%zu heads=%zu n=%zu: dense %.2f "
+                    "ms, DOTA@25%% incl. detection %.2f ms (%.2fx dense)\n",
+                    mc.dim, mc.heads, n, td * 1e3, tdet * 1e3, ratio);
+    }
+    if (ratio >= 1.0) {
+        std::fprintf(stderr,
+                     "smoke: FAIL — the detected MHA forward is not faster "
+                     "than dense at n=2048\n");
         return 1;
     }
     return runInt8Smoke();

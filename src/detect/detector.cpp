@@ -5,6 +5,10 @@
 #include "detect/detector.hpp"
 
 #include <cmath>
+#include <numeric>
+
+#include "common/thread_pool.hpp"
+#include "tensor/gemm_kernels.hpp"
 
 namespace dota {
 
@@ -34,7 +38,6 @@ DotaDetector::DotaDetector(const TransformerConfig &model_cfg,
     }
     qt_.resize(slots);
     kt_.resize(slots);
-    est_.resize(slots);
     diff_.resize(slots);
 }
 
@@ -73,37 +76,68 @@ DotaDetector::beginLayer(size_t layer, const Matrix &x)
     xp_q_ = cfg_.quantize ? fakeQuant(xp_, cfg_.bits) : xp_;
 }
 
+size_t
+DotaDetector::projectHead(size_t layer, size_t head)
+{
+    const size_t slot = headIndex(layer, head);
+    qt_[slot] = quantizedProduct(xp_q_, wq_[slot].value);
+    kt_[slot] = quantizedProduct(xp_q_, wk_[slot].value);
+    return slot;
+}
+
 Matrix
 DotaDetector::selectMask(size_t layer, size_t head, bool causal)
 {
-    const size_t slot = headIndex(layer, head);
+    return selectSparseMask(layer, head, causal).toDense();
+}
+
+SparseMask
+DotaDetector::selectSparseMask(size_t layer, size_t head, bool causal)
+{
     DOTA_ASSERT(layer == current_layer_,
-                "selectMask for layer {} but beginLayer saw {}", layer,
+                "mask selection for layer {} but beginLayer saw {}", layer,
                 current_layer_);
-
-    qt_[slot] = quantizedProduct(xp_q_, wq_[slot].value);
-    kt_[slot] = quantizedProduct(xp_q_, wk_[slot].value);
-    est_[slot] = matmulBT(qt_[slot], kt_[slot]);
-
+    const size_t slot = projectHead(layer, head);
     if (!cfg_.apply_mask)
         return {}; // warmup: estimate is trained but attention stays dense
 
-    const size_t n = est_[slot].rows();
-    if (cfg_.use_threshold) {
-        Matrix mask = thresholdMask(est_[slot], cfg_.threshold);
-        if (causal) {
-            for (size_t i = 0; i < n; ++i)
-                for (size_t j = i + 1; j < n; ++j)
-                    mask(i, j) = 0.0f;
-            // Guarantee progress: every row keeps its diagonal.
-            for (size_t i = 0; i < n; ++i)
-                mask(i, i) = 1.0f;
-        }
-        return mask;
-    }
+    // S~ is never built. Each tile of kTileRows query rows is one
+    // parallelFor chunk; each of its rows estimates only the keys it can
+    // see (the causal prefix) with the dot-family kernel, whose
+    // per-element contract (DESIGN.md §11) gives the bits of the full
+    // Q~K~^T, and selects straight into its CSR row.
+    const Matrix &qt = qt_[slot];
+    const Matrix &kt = kt_[slot];
+    const size_t n = qt.rows();
     const size_t keep = keepCount(n);
-    return causal ? topkMaskCausal(est_[slot], keep)
-                  : topkMask(est_[slot], keep);
+    std::vector<uint32_t> all_keys(n);
+    std::iota(all_keys.begin(), all_keys.end(), 0u);
+    const GemmKernelTable &kern = activeGemmKernels();
+    SparseMask mask(n, n);
+    const size_t tiles = (n + kTileRows - 1) / kTileRows;
+    parallelFor(0, tiles, 1, [&](size_t t0, size_t t1) {
+        std::vector<float> est(n);
+        for (size_t i = t0 * kTileRows; i < std::min(n, t1 * kTileRows);
+             ++i) {
+            const size_t visible = causal ? i + 1 : n;
+            kern.sparseScoreRow(qt.row(i), kt, all_keys.data(), visible,
+                                est.data());
+            std::vector<uint32_t> ids;
+            if (cfg_.use_threshold) {
+                for (size_t j = 0; j < visible; ++j)
+                    if (est[j] >= cfg_.threshold)
+                        ids.push_back(static_cast<uint32_t>(j));
+                // Guarantee progress: a causal row keeps its diagonal.
+                if (causal && (ids.empty() || ids.back() != i))
+                    ids.push_back(static_cast<uint32_t>(i));
+            } else {
+                ids.resize(std::min(keep, visible));
+                topkRow(est.data(), visible, keep, ids.data());
+            }
+            mask.setSortedRow(i, std::move(ids));
+        }
+    });
+    return mask;
 }
 
 void
@@ -111,9 +145,10 @@ DotaDetector::observeScores(size_t layer, size_t head,
                             const Matrix &s_true)
 {
     const size_t slot = headIndex(layer, head);
-    DOTA_ASSERT(!est_[slot].empty(), "observeScores before selectMask");
-    diff_[slot] = sub(est_[slot], s_true); // S~ - S
-    const double loss = mse(est_[slot], s_true);
+    DOTA_ASSERT(!qt_[slot].empty(), "observeScores before selectMask");
+    const Matrix est = lastEstimate(layer, head);
+    diff_[slot] = sub(est, s_true); // S~ - S
+    const double loss = mse(est, s_true);
     mse_sum_ += loss;
     ++mse_count_;
 
@@ -173,21 +208,19 @@ DotaDetector::consumeMseLoss()
     return mean;
 }
 
-const Matrix &
+Matrix
 DotaDetector::lastEstimate(size_t layer, size_t head) const
 {
-    return est_[layer * model_cfg_.heads + head];
+    const size_t slot = headIndex(layer, head);
+    return matmulBT(qt_[slot], kt_[slot]);
 }
 
 Matrix
 DotaDetector::estimateScores(size_t layer, size_t head, const Matrix &x)
 {
     beginLayer(layer, x);
-    const size_t slot = headIndex(layer, head);
-    qt_[slot] = quantizedProduct(xp_q_, wq_[slot].value);
-    kt_[slot] = quantizedProduct(xp_q_, wk_[slot].value);
-    est_[slot] = matmulBT(qt_[slot], kt_[slot]);
-    return est_[slot];
+    projectHead(layer, head);
+    return lastEstimate(layer, head);
 }
 
 } // namespace dota

@@ -65,7 +65,18 @@ class DotaDetector : public AttentionHook, public Module
 
     // AttentionHook interface -------------------------------------------
     void beginLayer(size_t layer, const Matrix &x) override;
+    /** The scatter of selectSparseMask() (dense 0/1, or empty). */
     Matrix selectMask(size_t layer, size_t head, bool causal) override;
+
+    /**
+     * Row-tiled selection straight into CSR rows; S~ is never built
+     * (see selectSparseMask in detector.cpp and DESIGN.md §11). The
+     * rows equal SparseMask::fromDense of topkMask / topkMaskCausal on
+     * the full S~ (threshold mode: thresholdMask, and a causal row keeps
+     * only columns <= its own plus its diagonal).
+     */
+    SparseMask selectSparseMask(size_t layer, size_t head,
+                                bool causal) override;
     void observeScores(size_t layer, size_t head,
                        const Matrix &s_true) override;
     Matrix scoreGradient(size_t layer, size_t head) override;
@@ -87,8 +98,12 @@ class DotaDetector : public AttentionHook, public Module
     /** Mean estimation loss accumulated since the last call, then reset. */
     double consumeMseLoss();
 
-    /** Estimated score matrix S~ of the last forward for one head. */
-    const Matrix &lastEstimate(size_t layer, size_t head) const;
+    /**
+     * Estimated score matrix S~ = Q~K~^T of the last forward for one
+     * head, computed on request from the kept Q~ and K~ (n x k): the
+     * same bits the selection saw.
+     */
+    Matrix lastEstimate(size_t layer, size_t head) const;
 
     /** Keep-count used for an n-token sequence under this retention. */
     size_t keepCount(size_t n) const;
@@ -107,8 +122,13 @@ class DotaDetector : public AttentionHook, public Module
     Matrix estimateScores(size_t layer, size_t head, const Matrix &x);
 
   private:
+    /** Query rows per detection tile (one parallelFor chunk). */
+    static constexpr size_t kTileRows = 64;
+
     size_t headIndex(size_t layer, size_t head) const;
     Matrix quantizedProduct(const Matrix &xp, const Matrix &w) const;
+    /** Q~ and K~ of one head from the current layer's X*P; its slot. */
+    size_t projectHead(size_t layer, size_t head);
 
     TransformerConfig model_cfg_;
     DetectorConfig cfg_;
@@ -121,9 +141,8 @@ class DotaDetector : public AttentionHook, public Module
     Matrix xp_;              ///< X * P of the current layer
     Matrix xp_q_;            ///< quantized X * P
     size_t current_layer_ = 0;
-    std::vector<Matrix> qt_;   ///< Q~ per head slot
-    std::vector<Matrix> kt_;   ///< K~ per head slot
-    std::vector<Matrix> est_;  ///< S~ per head slot
+    std::vector<Matrix> qt_;   ///< Q~ per head slot (n x k)
+    std::vector<Matrix> kt_;   ///< K~ per head slot (n x k)
     std::vector<Matrix> diff_; ///< (S~ - S) per head slot
 
     double mse_sum_ = 0.0;

@@ -38,12 +38,14 @@ evaluateDetection(TransformerClassifier &model, const SyntheticTask &task,
                 const size_t k = std::max<size_t>(
                     1, static_cast<size_t>(
                            retention * static_cast<double>(n)));
-                q.recall += topkRecall(scores[h], masks[h], k);
+                // Probe sizes only: the recalls compare dense matrices.
+                const Matrix mask = masks[h].toDense();
+                q.recall += topkRecall(scores[h], mask, k);
                 const float inv_sqrt_dk =
                     1.0f / std::sqrt(static_cast<float>(attn.headDim()));
                 q.mass_recall += attentionMassRecall(
-                    scale(scores[h], inv_sqrt_dk), masks[h]);
-                q.density += maskDensity(masks[h]);
+                    scale(scores[h], inv_sqrt_dk), mask);
+                q.density += masks[h].density();
                 ++measured;
             }
         }
@@ -64,13 +66,13 @@ harvestMasks(TransformerClassifier &model)
     std::vector<SparseMask> out;
     for (auto &blk : model.blocks()) {
         auto &attn = blk->attention();
-        for (const Matrix &m : attn.lastMasks()) {
+        for (const SparseMask &m : attn.lastMasks()) {
             if (m.empty()) {
                 // Dense: every connection selected. Recover the sequence
                 // length from any head that has data (sparse-path heads
                 // leave their score matrix empty).
                 size_t n = 0;
-                for (const Matrix &mm : attn.lastMasks())
+                for (const SparseMask &mm : attn.lastMasks())
                     if (!mm.empty())
                         n = mm.rows();
                 for (const Matrix &s : attn.lastScores())
@@ -84,7 +86,7 @@ harvestMasks(TransformerClassifier &model)
                     full.setRow(r, all);
                 out.push_back(std::move(full));
             } else {
-                out.push_back(SparseMask::fromDense(m));
+                out.push_back(m);
             }
         }
     }

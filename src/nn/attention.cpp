@@ -71,7 +71,7 @@ MultiHeadAttention::forward(const Matrix &x)
 
     s_raw_.assign(heads_, Matrix());
     a_.assign(heads_, Matrix());
-    masks_.assign(heads_, Matrix());
+    masks_.assign(heads_, SparseMask());
     head_backends_.assign(heads_, AttnBackendKind::Dense);
     z_ = Matrix(n, dim_);
     sparse_forward_ = false;
@@ -90,13 +90,11 @@ MultiHeadAttention::forward(const Matrix &x)
         const Matrix kh = headSlice(k_, h);
         const Matrix vh = headSlice(v_, h);
 
-        Matrix mask;
         if (hook_) {
             hook_->observeQK(layer_, h, qh, kh);
-            mask = hook_->selectMask(layer_, h, causal_);
+            masks_[h] = hook_->selectSparseMask(layer_, h, causal_);
         }
-        const bool hook_mask = !mask.empty();
-        masks_[h] = std::move(mask);
+        const bool hook_mask = !masks_[h].empty();
 
         const AttnBackendKind kind = resolveAttnBackend(
             choice, hook_ != nullptr, hook_ && hook_->wantsFullScores(),
@@ -109,19 +107,20 @@ MultiHeadAttention::forward(const Matrix &x)
         p.k = &kh;
         p.v = &vh;
         p.scale = inv_sqrt_dk;
-        SparseMask smask;
+        Matrix dense_mask;
         if (kind == AttnBackendKind::Dense) {
             // A hook mask replaces the causal constraint; otherwise the
-            // cached triangle (no per-forward n x n rebuild).
-            if (hook_mask)
-                p.dense_mask = &masks_[h];
-            else if (causal_)
-                p.dense_mask = &cachedCausalMask(n);
-        } else {
+            // cached triangle (no per-forward n x n rebuild). Only this
+            // backend scatters the hook's CSR rows to a dense 0/1 matrix.
             if (hook_mask) {
-                smask = SparseMask::fromDense(masks_[h]);
-                p.sparse_mask = &smask;
+                dense_mask = masks_[h].toDense();
+                p.dense_mask = &dense_mask;
+            } else if (causal_) {
+                p.dense_mask = &cachedCausalMask(n);
             }
+        } else {
+            if (hook_mask)
+                p.sparse_mask = &masks_[h];
             p.causal = causal_ && !hook_mask;
         }
 

@@ -89,12 +89,12 @@ class MultiHeadAttention : public Module
     const std::vector<Matrix> &lastScores() const { return s_raw_; }
 
     /**
-     * Hook-selected masks applied in the last forward (empty matrices
-     * when the hook kept everything). The causal constraint is not
-     * recorded here — it is implicit (see causal()) and, on the dense
-     * path, applied from the per-length cache below.
+     * Hook-selected masks applied in the last forward, as CSR rows
+     * (empty when the hook kept everything). The causal constraint is
+     * not recorded here — it is implicit (see causal()) and, on the
+     * dense path, applied from the per-length cache below.
      */
-    const std::vector<Matrix> &lastMasks() const { return masks_; }
+    const std::vector<SparseMask> &lastMasks() const { return masks_; }
 
     /** Backend each head of the last forward dispatched to. */
     const std::vector<AttnBackendKind> &lastBackends() const
@@ -141,7 +141,7 @@ class MultiHeadAttention : public Module
     Matrix x_, q_, k_, v_, z_;
     std::vector<Matrix> s_raw_; ///< per-head raw scores QK^T
     std::vector<Matrix> a_;     ///< per-head attention probabilities
-    std::vector<Matrix> masks_; ///< per-head hook masks (may be empty)
+    std::vector<SparseMask> masks_; ///< per-head hook masks (may be empty)
     std::vector<AttnBackendKind> head_backends_; ///< per-head dispatch
 };
 

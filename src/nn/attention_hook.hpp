@@ -10,12 +10,20 @@
  * That is exactly the structure of the joint optimization in Section 3.2:
  * L = L_model + lambda * L_MSE, where the lambda * dL_MSE/dS term enters
  * the model's backward through this interface.
+ *
+ * The mask travels as CSR rows (selectSparseMask). The layers ask for
+ * that form only and scatter it to a dense 0/1 matrix just for the dense
+ * backend, so a hook that selects straight into CSR rows (DotaDetector)
+ * never builds an n x n matrix on the inference path. Hooks that only
+ * override the dense selectMask keep working through the default
+ * selectSparseMask, a fromDense adapter.
  */
 #pragma once
 
 #include <cstddef>
 
 #include "tensor/matrix.hpp"
+#include "tensor/sparse_mask.hpp"
 
 namespace dota {
 
@@ -59,6 +67,19 @@ class AttentionHook
     virtual Matrix selectMask(size_t layer, size_t head, bool causal) = 0;
 
     /**
+     * The same mask as CSR rows (n rows of ascending key ids); an empty
+     * SparseMask means "no omission". This is what MultiHeadAttention
+     * and inferBlock call. The default adapts selectMask() with
+     * SparseMask::fromDense; hooks that can select row by row override
+     * it and make selectMask() the scatter of their own CSR.
+     */
+    virtual SparseMask
+    selectSparseMask(size_t layer, size_t head, bool causal)
+    {
+        return SparseMask::fromDense(selectMask(layer, head, causal));
+    }
+
+    /**
      * Observe the true raw scores S = QK^T for one head (post-mask
      * computation). Detectors accumulate L_MSE = ||S - S_est||^2 here.
      */
@@ -67,7 +88,7 @@ class AttentionHook
 
     /**
      * Whether this hook needs the full dense score matrix every forward.
-     * When a hook returns false and selectMask() produced a mask, the
+     * When a hook returns false and selected a non-empty mask, the
      * attention layer is free to take the sparse inference path: scores
      * are computed only at kept coordinates (tensor/sparse_ops.hpp),
      * observeScores() is skipped, and lastScores()/lastAttention() stay

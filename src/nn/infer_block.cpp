@@ -20,8 +20,8 @@ namespace {
 
 /**
  * Keep the top max(1, round(retention * n)) of the scores s[0..n) —
- * ties keep the lower key, as topkMask does — compacting @p cols and
- * @p s in ascending key order. Returns the kept count.
+ * topkRow's rule, as topkMask uses — compacting @p cols and @p s in
+ * ascending key order. Returns the kept count.
  */
 size_t
 keepTopK(std::vector<uint32_t> &cols, std::vector<float> &s, size_t n,
@@ -32,15 +32,13 @@ keepTopK(std::vector<uint32_t> &cols, std::vector<float> &s, size_t n,
                std::llround(retention * static_cast<double>(n))));
     if (keep >= n)
         return n;
-    Matrix row(1, n);
-    std::copy(s.begin(), s.begin() + n, row.row(0));
-    std::vector<uint32_t> idx = rowTopK(row, 0, keep);
-    std::sort(idx.begin(), idx.end());
-    for (size_t m = 0; m < idx.size(); ++m) { // idx[m] >= m: in place
+    std::vector<uint32_t> idx(keep);
+    topkRow(s.data(), n, keep, idx.data());
+    for (size_t m = 0; m < keep; ++m) { // idx[m] >= m: in place
         cols[m] = cols[idx[m]];
         s[m] = s[idx[m]];
     }
-    return idx.size();
+    return keep;
 }
 
 /**
@@ -101,11 +99,11 @@ attend(MultiHeadAttention &attn, const Matrix &q, const Matrix &k,
     std::vector<int32_t> acc(bp ? dh : 0);   // int8 A*V sums
     for (size_t h = 0; h < heads; ++h) {
         const size_t off = h * dh;
-        Matrix mask;
+        SparseMask mask;
         if (hook) {
             hook->observeQK(layer, h, attn.headSlice(q, h),
                             attn.headSlice(k, h));
-            mask = hook->selectMask(layer, h, causal);
+            mask = hook->selectSparseMask(layer, h, causal);
         }
         for (size_t i = 0; i < n; ++i) {
             float *zrow = z.row(i) + off;
@@ -123,9 +121,9 @@ attend(MultiHeadAttention &attn, const Matrix &q, const Matrix &k,
             // every key this row can see.
             size_t nk = 0;
             if (!mask.empty()) {
-                for (size_t j = 0; j < t; ++j)
-                    if (mask(i, j) != 0.0f)
-                        cols[nk++] = static_cast<uint32_t>(j);
+                const std::vector<uint32_t> &ids = mask.row(i);
+                nk = ids.size();
+                std::copy(ids.begin(), ids.end(), cols.begin());
             } else {
                 nk = causal ? t0 + i + 1 : t;
                 std::iota(cols.begin(), cols.begin() + nk, 0u);

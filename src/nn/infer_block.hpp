@@ -19,8 +19,8 @@
  *    matching row of the full-sequence int8 forward by arithmetic.
  *
  * The hook, when given, sees the fp layer's calls in the fp layer's
- * order (beginLayer, then observeQK / selectMask / observeScores per
- * head) and its mask replaces the causal bound; hooks see whole
+ * order (beginLayer, then observeQK / selectSparseMask / observeScores
+ * per head) and its mask replaces the causal bound; hooks see whole
  * sequences, so a hooked step needs an empty cache. Training (forward
  * with S/A capture and backward) and the hooked fp prefill stay on
  * EncoderBlock::forward.

@@ -113,9 +113,9 @@ Int8Plan quantizeLM(CausalLM &model, const Int8Calibration &calib);
 /**
  * Int8 classifier forward; returns logits (1 x classes). Honors an
  * installed attention hook exactly like the fp path: beginLayer /
- * observeQK see the int8-computed fp activations, selectMask gates the
- * integer softmax (so DOTA-style detectors drive sparsity on the
- * integer path too), and observeScores receives dequantized raw scores
+ * observeQK see the int8-computed fp activations, selectSparseMask
+ * gates the integer softmax (so DOTA-style detectors drive sparsity on
+ * the integer path too), and observeScores receives dequantized raw scores
  * when the hook wants them.
  */
 Matrix int8Forward(TransformerClassifier &model, const Int8Plan &plan,

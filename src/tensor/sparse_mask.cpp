@@ -5,6 +5,7 @@
 #include "tensor/sparse_mask.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 namespace dota {
@@ -25,12 +26,12 @@ SparseMask::fromDense(const Matrix &mask)
 Matrix
 SparseMask::toDense() const
 {
-    DOTA_ASSERT(rows_ * cols_ <= (size_t{1} << 24),
-                "toDense on a {}x{} mask would be enormous", rows_, cols_);
     Matrix m(rows_, cols_);
-    for (size_t r = 0; r < rows_; ++r)
+    for (size_t r = 0; r < rows_; ++r) {
+        float *mrow = m.row(r);
         for (uint32_t c : ids_[r])
-            m(r, c) = 1.0f;
+            mrow[c] = 1.0f;
+    }
     return m;
 }
 
@@ -41,6 +42,17 @@ SparseMask::setRow(size_t r, std::vector<uint32_t> ids)
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
     DOTA_ASSERT(ids.empty() || ids.back() < cols_,
                 "key id {} out of {} columns", ids.back(), cols_);
+    ids_[r] = std::move(ids);
+}
+
+void
+SparseMask::setSortedRow(size_t r, std::vector<uint32_t> ids)
+{
+    DOTA_ASSERT(std::adjacent_find(ids.begin(), ids.end(),
+                                   std::greater_equal<uint32_t>()) ==
+                        ids.end() &&
+                    (ids.empty() || ids.back() < cols_),
+                "row {} ids are not strictly ascending below {}", r, cols_);
     ids_[r] = std::move(ids);
 }
 

@@ -30,20 +30,33 @@ class SparseMask
         : rows_(rows), cols_(cols), ids_(rows)
     {}
 
-    /** Convert a dense 0/1 mask. */
+    /** Convert a dense 0/1 mask (an empty matrix gives an empty mask). */
     static SparseMask fromDense(const Matrix &mask);
 
-    /** Back to a dense 0/1 matrix (small n only; asserts on huge masks). */
+    /** Scatter back to a dense 0/1 matrix: O(rows * cols) memory. */
     Matrix toDense() const;
 
     size_t rows() const { return rows_; }
     size_t cols() const { return cols_; }
+
+    /**
+     * No rows: the "no omission" mask an AttentionHook returns for dense
+     * attention. A mask with rows but no connections is not empty.
+     */
+    bool empty() const { return rows_ == 0; }
 
     /** Selected key ids of one query row (sorted ascending). */
     const std::vector<uint32_t> &row(size_t r) const { return ids_[r]; }
 
     /** Replace one row's selection (kept sorted). */
     void setRow(size_t r, std::vector<uint32_t> ids);
+
+    /**
+     * Replace one row's selection with ids already strictly ascending
+     * (as topkRow emits them): checked in one pass, never sorted.
+     * Distinct rows may be set from different threads.
+     */
+    void setSortedRow(size_t r, std::vector<uint32_t> ids);
 
     /** Append one connection; caller must finish with sortRows(). */
     void addConnection(size_t r, uint32_t c) { ids_[r].push_back(c); }

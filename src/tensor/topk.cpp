@@ -5,61 +5,138 @@
 #include "tensor/topk.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 
 #include "tensor/ops.hpp"
 
 namespace dota {
 
+namespace {
+
+/**
+ * Digit widths of the radix select. A pass over kWideDigitMinKeys keys
+ * or more takes a wide digit (2048 bins; the first one holds the sign,
+ * the exponent and two mantissa bits, so one pass leaves few
+ * candidates); passes over fewer keys — short rows, the candidates of
+ * later passes — take 256 bins, so they do not pay for clearing the
+ * wide histogram.
+ */
+constexpr unsigned kWideDigitBits = 11;
+constexpr unsigned kNarrowDigitBits = 8;
+constexpr size_t kWideDigitMinKeys = 256;
+
+/**
+ * Order-preserving key: key(a) > key(b) exactly when a > b, with -0
+ * canonicalized to +0 first so the two zeros tie.
+ */
+inline uint32_t
+orderKey(float v)
+{
+    const float canon = v + 0.0f;
+    uint32_t b;
+    std::memcpy(&b, &canon, sizeof b);
+    return (b & 0x80000000u) ? ~b : (b | 0x80000000u);
+}
+
+/** Row-wise top-k into a dense mask; causal rows see columns [0, r]. */
+Matrix
+topkRows(const Matrix &scores, size_t k, bool causal)
+{
+    Matrix mask(scores.rows(), scores.cols());
+    std::vector<uint32_t> ids(std::min(k, scores.cols()));
+    for (size_t r = 0; r < scores.rows(); ++r) {
+        const size_t visible =
+            causal ? std::min(r + 1, scores.cols()) : scores.cols();
+        const size_t kept = topkRow(scores.row(r), visible, k, ids.data());
+        float *mrow = mask.row(r);
+        for (size_t i = 0; i < kept; ++i)
+            mrow[ids[i]] = 1.0f;
+    }
+    return mask;
+}
+
+} // namespace
+
+size_t
+topkRow(const float *x, size_t n, size_t k, uint32_t *out)
+{
+    if (k >= n) {
+        std::iota(out, out + n, 0u);
+        return n;
+    }
+    if (k == 0)
+        return 0;
+    thread_local std::vector<uint32_t> keys, cand;
+    thread_local uint32_t hist[size_t{1} << kWideDigitBits];
+    if (keys.size() < n) {
+        keys.resize(n);
+        cand.resize(n);
+    }
+    for (size_t j = 0; j < n; ++j)
+        keys[j] = orderKey(x[j]);
+
+    // Narrow down the k-th largest key one digit at a time, from the
+    // top. Invariant: the m keys in play share the decided high digits,
+    // and `need` of them (1 <= need <= m) are kept.
+    const uint32_t *src = keys.data();
+    size_t m = n, need = k;
+    unsigned low = 32; // bits below the decided digits
+    uint32_t prefix = 0;
+    while (low > 0) {
+        const unsigned w = std::min(
+            low, m >= kWideDigitMinKeys ? kWideDigitBits : kNarrowDigitBits);
+        low -= w;
+        const uint32_t dmask = (1u << w) - 1;
+        std::fill(hist, hist + dmask + 1, 0u);
+        for (size_t i = 0; i < m; ++i)
+            ++hist[(src[i] >> low) & dmask];
+        uint32_t b = dmask;
+        while (hist[b] < need)
+            need -= hist[b--];
+        prefix |= b << low;
+        if (hist[b] == need)
+            break; // the whole bucket is kept
+        size_t c = 0;
+        for (size_t i = 0; i < m; ++i)
+            if (((src[i] >> low) & dmask) == b)
+                cand[c++] = src[i];
+        src = cand.data();
+        m = c;
+    }
+
+    // Emit, in index order, every key above the decided digits and the
+    // first `need` keys equal to them (the lower-index ties).
+    const uint32_t top = prefix >> low;
+    size_t kept = 0;
+    for (uint32_t j = 0; kept < k; ++j) {
+        const uint32_t t = keys[j] >> low;
+        const bool tie = t == top && need > 0;
+        need -= tie;
+        out[kept] = j;
+        kept += (t > top) || tie;
+    }
+    return kept;
+}
+
 std::vector<uint32_t>
 rowTopK(const Matrix &scores, size_t r, size_t k)
 {
-    const size_t n = scores.cols();
-    k = std::min(k, n);
-    std::vector<uint32_t> idx(n);
-    std::iota(idx.begin(), idx.end(), 0u);
-    const float *row = scores.row(r);
-    std::nth_element(idx.begin(), idx.begin() + static_cast<long>(k),
-                     idx.end(), [row](uint32_t a, uint32_t b) {
-                         if (row[a] != row[b])
-                             return row[a] > row[b];
-                         return a < b; // deterministic tie-break
-                     });
-    idx.resize(k);
-    return idx;
+    std::vector<uint32_t> ids(std::min(k, scores.cols()));
+    topkRow(scores.row(r), scores.cols(), k, ids.data());
+    return ids;
 }
 
 Matrix
 topkMask(const Matrix &scores, size_t k)
 {
-    Matrix mask(scores.rows(), scores.cols());
-    for (size_t r = 0; r < scores.rows(); ++r)
-        for (uint32_t c : rowTopK(scores, r, k))
-            mask(r, c) = 1.0f;
-    return mask;
+    return topkRows(scores, k, false);
 }
 
 Matrix
 topkMaskCausal(const Matrix &scores, size_t k)
 {
-    Matrix mask(scores.rows(), scores.cols());
-    for (size_t r = 0; r < scores.rows(); ++r) {
-        const size_t visible = std::min(r + 1, scores.cols());
-        const size_t kk = std::min(k, visible);
-        // Select among columns [0, visible) only.
-        std::vector<uint32_t> idx(visible);
-        std::iota(idx.begin(), idx.end(), 0u);
-        const float *row = scores.row(r);
-        std::nth_element(idx.begin(), idx.begin() + static_cast<long>(kk),
-                         idx.end(), [row](uint32_t a, uint32_t b) {
-                             if (row[a] != row[b])
-                                 return row[a] > row[b];
-                             return a < b;
-                         });
-        for (size_t i = 0; i < kk; ++i)
-            mask(r, idx[i]) = 1.0f;
-    }
-    return mask;
+    return topkRows(scores, k, true);
 }
 
 Matrix

@@ -17,7 +17,26 @@
 
 namespace dota {
 
-/** Indices of the k largest entries of row @p r of @p scores (unsorted). */
+/**
+ * Exact row top-k, the one selection routine behind every function
+ * below: writes the indices of the min(k, n) largest of x[0..n) to
+ * out[0..) in ascending index order and returns how many (k = 0 keeps
+ * nothing; k >= n keeps every index).
+ *
+ * Order: the larger value first; equal values keep the lower index;
+ * -0 equals +0. NaNs rank by their bit pattern: a NaN with the sign bit
+ * clear above +inf, one with it set below -inf.
+ *
+ * Radix select on order-preserving integer keys (-0 canonicalized by
+ * x + 0.0f): a histogram of the keys' top digit finds the bucket that
+ * holds the k-th largest key, later digits refine only that bucket's
+ * keys, and a last pass emits every key above the k-th plus the
+ * lowest-index ties at it. No sort and no comparator, so the ids come
+ * out ascending for free.
+ */
+size_t topkRow(const float *x, size_t n, size_t k, uint32_t *out);
+
+/** Indices of the k largest entries of row @p r (ascending, topkRow). */
 std::vector<uint32_t> rowTopK(const Matrix &scores, size_t r, size_t k);
 
 /**

@@ -141,9 +141,9 @@ TEST(Calibration, ThresholdHitsRetention)
     for (int s = 0; s < 3; ++s) {
         model.forward(task.sample(rng).features);
         for (auto &blk : model.blocks())
-            for (const Matrix &m : blk->attention().lastMasks())
+            for (const SparseMask &m : blk->attention().lastMasks())
                 if (!m.empty()) {
-                    density += maskDensity(m);
+                    density += m.density();
                     ++measured;
                 }
     }

@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "detect/detector.hpp"
 #include "detect/pipeline.hpp"
 #include "nn/gradcheck.hpp"
@@ -76,6 +78,141 @@ TEST(Detector, CausalMask)
     for (size_t r = 0; r < 10; ++r)
         for (size_t c = r + 1; c < 10; ++c)
             EXPECT_FLOAT_EQ(mask(r, c), 0.0f);
+}
+
+/**
+ * A prompt over a 3-token vocabulary, embedded without positions: every
+ * S~ row holds at most three distinct values, the heaviest ties.
+ */
+Matrix
+threeTokenPrompt(size_t n, size_t dim, Rng &rng)
+{
+    const Matrix vocab = Matrix::randomNormal(3, dim, rng);
+    Matrix x(n, dim);
+    for (size_t i = 0; i < n; ++i) {
+        const float *src = vocab.row(rng.uniformInt(3));
+        std::copy(src, src + dim, x.row(i));
+    }
+    return x;
+}
+
+/** The selection rule applied to a full S~ as a dense 0/1 mask. */
+Matrix
+denseRule(const Matrix &est, const DetectorConfig &dc, size_t keep,
+          bool causal)
+{
+    if (!dc.use_threshold)
+        return causal ? topkMaskCausal(est, keep) : topkMask(est, keep);
+    Matrix mask = thresholdMask(est, dc.threshold);
+    if (causal) {
+        for (size_t i = 0; i < est.rows(); ++i) {
+            for (size_t j = i + 1; j < est.cols(); ++j)
+                mask(i, j) = 0.0f;
+            mask(i, i) = 1.0f;
+        }
+    }
+    return mask;
+}
+
+bool
+sameBits(const Matrix &a, const Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+TEST(Detector, SparseSelectionMatchesDenseRule)
+{
+    // The row-tiled CSR selection never builds S~; it must still pick
+    // exactly what the dense rule picks on the full S~, at the tile
+    // edges (64 rows) and under heavy ties.
+    Rng rng(150);
+    for (size_t n : {1u, 63u, 64u, 65u, 300u}) {
+        const Matrix x = threeTokenPrompt(n, 32, rng);
+        for (bool threshold : {false, true}) {
+            for (bool causal : {false, true}) {
+                DetectorConfig dc;
+                dc.train = false;
+                dc.retention = 0.25;
+                DotaDetector det(modelCfg(), dc);
+                const Matrix est = det.estimateScores(1, 1, x);
+                // A threshold equal to an occurring value: ties at it.
+                det.config().use_threshold = threshold;
+                det.config().threshold = est.data()[est.size() / 2];
+                det.beginLayer(1, x);
+                const SparseMask got = det.selectSparseMask(1, 1, causal);
+                const SparseMask want = SparseMask::fromDense(
+                    denseRule(est, det.config(), det.keepCount(n), causal));
+                ASSERT_EQ(got.rows(), n);
+                ASSERT_EQ(got.cols(), n);
+                for (size_t r = 0; r < n; ++r)
+                    ASSERT_EQ(got.row(r), want.row(r))
+                        << "n=" << n << " threshold=" << threshold
+                        << " causal=" << causal << " row " << r;
+                EXPECT_TRUE(sameBits(det.lastEstimate(1, 1), est));
+                // The dense selectMask is the scatter of the same rows.
+                EXPECT_TRUE(sameBits(det.selectMask(1, 1, causal),
+                                     want.toDense()));
+            }
+        }
+    }
+}
+
+/** Pass-through hook that overrides only the dense selectMask. */
+class DenseOnlyWrapper final : public AttentionHook
+{
+  public:
+    explicit DenseOnlyWrapper(AttentionHook &inner) : inner_(inner) {}
+    void beginLayer(size_t layer, const Matrix &x) override
+    {
+        inner_.beginLayer(layer, x);
+    }
+    Matrix selectMask(size_t layer, size_t head, bool causal) override
+    {
+        return inner_.selectMask(layer, head, causal);
+    }
+    void observeScores(size_t layer, size_t head, const Matrix &s) override
+    {
+        inner_.observeScores(layer, head, s);
+    }
+    bool wantsFullScores() const override
+    {
+        return inner_.wantsFullScores();
+    }
+    Matrix scoreGradient(size_t layer, size_t head) override
+    {
+        return inner_.scoreGradient(layer, head);
+    }
+
+  private:
+    AttentionHook &inner_;
+};
+
+TEST(Detector, DenseAdapterHookMatchesDirectInstall)
+{
+    // A hook that only knows the dense selectMask reaches the layers
+    // through the default selectSparseMask (fromDense): the same masks,
+    // so the same logits bit for bit.
+    TransformerConfig mc = modelCfg();
+    mc.vocab = 16;
+    CausalLM lm(mc);
+    DetectorConfig dc;
+    dc.train = false;
+    dc.retention = 0.25;
+    DotaDetector det(mc, dc);
+    Rng rng(151);
+    std::vector<int> ids(150);
+    for (int &t : ids)
+        t = static_cast<int>(rng.uniformInt(mc.vocab));
+
+    lm.setHook(&det);
+    const Matrix direct = lm.forward(ids);
+    DenseOnlyWrapper wrapper(det);
+    lm.setHook(&wrapper);
+    const Matrix wrapped = lm.forward(ids);
+    lm.setHook(nullptr);
+    EXPECT_TRUE(sameBits(direct, wrapped));
 }
 
 TEST(Detector, ThresholdModeRespectsThreshold)

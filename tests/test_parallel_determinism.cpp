@@ -11,6 +11,7 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "detect/detector.hpp"
 #include "device/fleet.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/sparse_mask.hpp"
@@ -318,6 +319,33 @@ TEST(ParallelDeterminism, SparseAttentionBitIdentical)
     auto [serial, parallel] = atBothThreadCounts(
         [&] { return sparseMaskedAttention(q, k, v, mask, sc); });
     EXPECT_TRUE(bitIdentical(serial, parallel));
+}
+
+TEST(ParallelDeterminism, DetectorMasksBitIdentical)
+{
+    // The detector's row tiles run under parallelFor; each row is
+    // estimated and selected on its own, so the CSR masks must not
+    // depend on the thread count.
+    TransformerConfig mc;
+    mc.dim = 64;
+    mc.heads = 2;
+    mc.layers = 1;
+    DetectorConfig dc;
+    dc.train = false;
+    dc.retention = 0.25;
+    DotaDetector det(mc, dc);
+    Rng rng(2078);
+    const Matrix x = Matrix::randomNormal(300, mc.dim, rng);
+    for (bool causal : {false, true}) {
+        auto [serial, parallel] = atBothThreadCounts([&] {
+            det.beginLayer(0, x);
+            return det.selectSparseMask(0, 1, causal);
+        });
+        ASSERT_EQ(serial.rows(), parallel.rows());
+        for (size_t r = 0; r < serial.rows(); ++r)
+            ASSERT_EQ(serial.row(r), parallel.row(r))
+                << "causal=" << causal << " row " << r;
+    }
 }
 
 } // namespace

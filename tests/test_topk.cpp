@@ -5,6 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
+
 #include "tensor/ops.hpp"
 #include "tensor/topk.hpp"
 
@@ -37,6 +41,86 @@ TEST(TopK, KLargerThanColsClamps)
 {
     Matrix s(1, 3, 1.0f);
     EXPECT_EQ(rowTopK(s, 0, 10).size(), 3u);
+}
+
+/** Row of heavy ties: a 5-value set with both zeros, plus some +-inf. */
+std::vector<float>
+tiedRow(Rng &rng, size_t n)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float values[5] = {-1.5f, -0.0f, 0.0f, 0.25f, 2.0f};
+    std::vector<float> row(n);
+    for (float &v : row) {
+        const uint64_t u = rng.uniformInt(20);
+        v = u == 0 ? inf : u == 1 ? -inf : values[u % 5];
+    }
+    return row;
+}
+
+/**
+ * The selection rule by a stable sort: larger value first, lower column
+ * on ties, -0 equal to +0. Returns the kept columns in ascending order.
+ */
+std::vector<uint32_t>
+sortReferenceTopK(const float *row, size_t n, size_t k)
+{
+    std::vector<uint32_t> idx(n);
+    std::iota(idx.begin(), idx.end(), 0u);
+    std::stable_sort(idx.begin(), idx.end(), [row](uint32_t a, uint32_t b) {
+        return row[a] > row[b];
+    });
+    idx.resize(std::min(k, n));
+    std::sort(idx.begin(), idx.end());
+    return idx;
+}
+
+/** Columns of mask row @p r that are set, ascending. */
+std::vector<uint32_t>
+maskRowIds(const Matrix &mask, size_t r)
+{
+    std::vector<uint32_t> ids;
+    for (size_t c = 0; c < mask.cols(); ++c)
+        if (mask(r, c) != 0.0f)
+            ids.push_back(static_cast<uint32_t>(c));
+    return ids;
+}
+
+TEST(TopK, MatchesSortReference)
+{
+    Rng rng(4242);
+    const auto ks = [](size_t n) {
+        return std::vector<size_t>{0, 1, n / 4, n - 1, n, n + 1};
+    };
+    for (size_t n = 1; n <= 300; ++n) {
+        const Matrix s(1, n, tiedRow(rng, n));
+        for (size_t k : ks(n)) {
+            std::vector<uint32_t> got = rowTopK(s, 0, k);
+            std::sort(got.begin(), got.end());
+            ASSERT_EQ(got, sortReferenceTopK(s.row(0), n, k))
+                << "rowTopK n=" << n << " k=" << k;
+        }
+    }
+    for (size_t n : {1u, 2u, 3u, 4u, 7u, 16u, 33u, 63u, 64u, 65u, 130u, 300u}) {
+        std::vector<float> data;
+        for (size_t r = 0; r < n; ++r) {
+            const std::vector<float> row = tiedRow(rng, n);
+            data.insert(data.end(), row.begin(), row.end());
+        }
+        const Matrix s(n, n, std::move(data));
+        for (size_t k : ks(n)) {
+            const Matrix full = topkMask(s, k);
+            const Matrix causal = topkMaskCausal(s, k);
+            for (size_t r = 0; r < n; ++r) {
+                ASSERT_EQ(maskRowIds(full, r),
+                          sortReferenceTopK(s.row(r), n, k))
+                    << "topkMask n=" << n << " k=" << k << " row " << r;
+                ASSERT_EQ(maskRowIds(causal, r),
+                          sortReferenceTopK(s.row(r), r + 1, k))
+                    << "topkMaskCausal n=" << n << " k=" << k << " row "
+                    << r;
+            }
+        }
+    }
 }
 
 class TopkMaskProperty
