@@ -1,23 +1,23 @@
 /**
  * @file
- * Attention-backend benchmark: wall time and peak RSS of the dense,
- * sparse-rows and streaming backends as the sequence length grows, on
- * the long-retrieval workload (DESIGN.md §13). Emits
- * BENCH_attention.json next to the binary.
+ * Attention benchmark: wall time and peak RSS of one head on the sparse
+ * path (the row kernel of tensor/rows_attention.hpp over the workload's
+ * mask) and on the dense path (full n x n scores, no mask) as the
+ * sequence length grows, on the long-retrieval workload (DESIGN.md §13).
+ * Emits BENCH_attention.json next to the binary.
  *
- * The headline claim measured here: the streaming backend's score
- * memory is O(n * tile), so a 32k-token prefill fits where the dense
- * path would need a 4 GiB score matrix. Peak RSS (getrusage RU_MAXRSS)
- * is a process-lifetime high-water mark, so rows record the mark
- * *after* each run and the schedule runs streaming before dense at
- * every length — the streaming rows are unpolluted by dense
- * allocations at larger n.
+ * The headline claim measured here: the row kernel holds one score row
+ * per thread, so a 32k-token prefill fits where the dense path would
+ * need a 4 GiB score matrix. Peak RSS (getrusage RU_MAXRSS) is a
+ * process-lifetime high-water mark, so rows record the mark *after*
+ * each run and the schedule runs sparse before dense at every length —
+ * the sparse rows are unpolluted by dense allocations at larger n.
  *
- * `--smoke` runs ONLY the streaming backend at 32k (no dense run ever
- * happens in the process, keeping the high-water mark meaningful),
- * checks the output is finite, the planted-needle recall is ~1, and
- * peak RSS stays under a pinned budget (default 512 MiB,
- * --rss-budget-mb overrides). Exit 0/1 — the CI long-context gate.
+ * `--smoke` runs ONLY the sparse path at 32k (no dense run ever happens
+ * in the process, keeping the high-water mark meaningful), checks the
+ * output is finite, the planted-needle recall is ~1, and peak RSS stays
+ * under a pinned budget (default 512 MiB, --rss-budget-mb overrides).
+ * Exit 0/1 — the CI long-context gate.
  */
 #include <sys/resource.h>
 
@@ -30,7 +30,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "nn/attention_backend.hpp"
+#include "tensor/ops.hpp"
+#include "tensor/rows_attention.hpp"
 #include "workloads/long_retrieval.hpp"
 
 using namespace dota;
@@ -56,35 +57,34 @@ struct RunRow
     uint64_t mask_nnz = 0;
 };
 
-RunRow
-runOne(const LongRetrievalCase &c, AttnBackendKind kind, bool use_mask)
+/** The sparse path: the row kernel over the workload's mask. */
+Matrix
+sparseHead(const LongRetrievalCase &c)
 {
-    AttnHeadProblem p;
-    p.q = &c.q;
-    p.k = &c.k;
-    p.v = &c.v;
-    p.scale = c.scale;
-    Matrix dense_mask;
-    if (use_mask) {
-        if (kind == AttnBackendKind::Dense) {
-            dense_mask = c.mask.toDense();
-            p.dense_mask = &dense_mask;
-        } else {
-            p.sparse_mask = &c.mask;
-        }
-    }
-    const AttentionBackend &b = attentionBackend(kind);
+    return rowsAttention(c.q, c.k, c.v, &c.mask, false, c.scale);
+}
+
+/** The dense reference: full n x n scores, softmax, A*V, no mask. */
+Matrix
+denseHead(const LongRetrievalCase &c)
+{
+    return matmul(rowSoftmax(scale(matmulBT(c.q, c.k), c.scale)), c.v);
+}
+
+RunRow
+runOne(const LongRetrievalCase &c, bool sparse)
+{
     const auto t0 = std::chrono::steady_clock::now();
-    AttnHeadResult r = b.runHead(p);
+    const Matrix z = sparse ? sparseHead(c) : denseHead(c);
     const auto t1 = std::chrono::steady_clock::now();
 
     RunRow row;
     row.n = c.q.rows();
-    row.backend = b.name();
+    row.backend = sparse ? "sparse" : "dense";
     row.ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    row.recall = needleRecall(c, r.z);
+    row.recall = needleRecall(c, z);
     row.rss_peak_kb = peakRssKb();
-    row.mask_nnz = use_mask ? c.mask.nnz() : 0;
+    row.mask_nnz = sparse ? c.mask.nnz() : 0;
     return row;
 }
 
@@ -100,33 +100,26 @@ allFinite(const Matrix &m)
 int
 smoke(size_t rss_budget_mb)
 {
-    // Streaming only: any dense run would push the high-water mark past
-    // the budget for reasons unrelated to the streaming kernel.
+    // Sparse only: any dense run would push the high-water mark past
+    // the budget for reasons unrelated to the row kernel.
     LongRetrievalConfig cfg;
     cfg.seq_len = 32768;
     const LongRetrievalCase c = makeLongRetrieval(cfg);
 
-    AttnHeadProblem p;
-    p.q = &c.q;
-    p.k = &c.k;
-    p.v = &c.v;
-    p.scale = c.scale;
-    p.sparse_mask = &c.mask;
     const auto t0 = std::chrono::steady_clock::now();
-    AttnHeadResult r =
-        attentionBackend(AttnBackendKind::Streaming).runHead(p);
+    const Matrix z = sparseHead(c);
     const auto t1 = std::chrono::steady_clock::now();
 
     const double ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
-    const double recall = needleRecall(c, r.z);
+    const double recall = needleRecall(c, z);
     const long rss_kb = peakRssKb();
-    const bool finite = allFinite(r.z);
+    const bool finite = allFinite(z);
     const bool rss_ok =
         static_cast<size_t>(rss_kb) <= rss_budget_mb * 1024;
     const bool recall_ok = recall >= 0.9;
 
-    std::cout << "streaming 32k smoke: " << ms << " ms, recall "
+    std::cout << "sparse 32k smoke: " << ms << " ms, recall "
               << recall << ", peak RSS " << rss_kb / 1024 << " MiB"
               << " (budget " << rss_budget_mb << " MiB)\n";
     if (!finite)
@@ -134,8 +127,8 @@ smoke(size_t rss_budget_mb)
     if (!recall_ok)
         std::cout << "FAIL: needle recall below 0.9\n";
     if (!rss_ok)
-        std::cout << "FAIL: peak RSS over budget — streaming score "
-                     "memory is no longer O(n * tile)\n";
+        std::cout << "FAIL: peak RSS over budget — the row kernel's "
+                     "score memory is no longer one row per thread\n";
     const bool ok = finite && recall_ok && rss_ok;
     std::cout << (ok ? "SMOKE PASS\n" : "SMOKE FAIL\n");
     return ok ? 0 : 1;
@@ -147,7 +140,7 @@ writeJson(const std::vector<RunRow> &rows, const std::string &path)
     std::ofstream out(path);
     out << "{\n  \"bench\": \"attention_backends\",\n"
         << "  \"rss_note\": \"rss_peak_kb is the process high-water "
-           "mark after the run; streaming runs before dense at each "
+           "mark after the run; sparse runs before dense at each "
            "n\",\n  \"rows\": [\n";
     for (size_t i = 0; i < rows.size(); ++i) {
         const RunRow &r = rows[i];
@@ -182,15 +175,15 @@ main(int argc, char **argv)
     if (want_smoke)
         return smoke(rss_budget_mb);
 
-    bench::banner("Attention backends: time and peak RSS vs context",
-                  "DESIGN.md §13 (streaming online-softmax, O(n * tile) "
-                  "score memory)");
+    bench::banner("Attention paths: time and peak RSS vs context",
+                  "DESIGN.md §13 (exact row kernel, one score row per "
+                  "thread)");
 
     const std::vector<size_t> lens =
         bench::fastMode() ? std::vector<size_t>{1024, 4096}
                           : std::vector<size_t>{1024, 2048, 4096, 8192};
     std::vector<RunRow> rows;
-    Table t("per-backend attention forward (single head, d=64)");
+    Table t("per-path attention forward (single head, d=64)");
     t.header({"n", "backend", "ms", "recall", "peak RSS MiB",
               "mask nnz"});
     auto add = [&](const RunRow &r) {
@@ -205,18 +198,17 @@ main(int argc, char **argv)
         LongRetrievalConfig cfg;
         cfg.seq_len = n;
         const LongRetrievalCase c = makeLongRetrieval(cfg);
-        // Streaming first so its RSS row predates dense allocations.
-        add(runOne(c, AttnBackendKind::Streaming, true));
-        add(runOne(c, AttnBackendKind::Sparse, true));
-        add(runOne(c, AttnBackendKind::Dense, false));
+        // Sparse first so its RSS row predates dense allocations.
+        add(runOne(c, true));
+        add(runOne(c, false));
     }
     {
-        // Long-context rows: streaming only (dense would need a 4 GiB
-        // score matrix at 32k — that is the point of this bench).
+        // Long-context row: sparse only (dense would need a 4 GiB score
+        // matrix at 32k — that is the point of this bench).
         LongRetrievalConfig cfg;
         cfg.seq_len = bench::fastMode() ? 16384 : 32768;
         const LongRetrievalCase c = makeLongRetrieval(cfg);
-        add(runOne(c, AttnBackendKind::Streaming, true));
+        add(runOne(c, true));
     }
     t.print(std::cout);
 

@@ -12,10 +12,10 @@
  *
  * `--smoke` runs a fixed-shape dense-vs-sparse attention comparison and
  * exits non-zero unless the sparse path is faster at 25% retention and
- * numerically identical on kept coordinates — the CI guard that the
- * Level-2 kernels actually deliver the omission speedup — and unless a
- * causal MultiHeadAttention forward with the DOTA detector installed,
- * detection included, beats the dense forward at n = 2048.
+ * bitwise equal to the dense masked computation — the CI guard that
+ * the row attention kernel actually delivers the omission speedup — and
+ * unless a causal MultiHeadAttention forward with the DOTA detector
+ * installed, detection included, beats the dense forward at n = 2048.
  */
 #include <benchmark/benchmark.h>
 
@@ -34,9 +34,9 @@
 #include "tensor/int_softmax.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/quant.hpp"
+#include "tensor/rows_attention.hpp"
 #include "tensor/simd.hpp"
 #include "tensor/sparse_mask.hpp"
-#include "tensor/sparse_ops.hpp"
 #include "tensor/topk.hpp"
 #include "workloads/mask_synth.hpp"
 
@@ -208,7 +208,7 @@ BENCHMARK(BM_DetectorEstimate)->Arg(128)->Arg(384);
 
 // ---------------------------------------------------------------------
 // Retention sweep: the attention core (S = QK^T, masked softmax, A*V)
-// computed densely vs with the Level-2 sparse kernels, for one head at
+// computed densely vs with the row attention kernel, for one head at
 // n = 512, head_dim = 64. The benchmark argument is retention in
 // per-mille (1000 = dense work on a full mask, 125 = 12.5% kept), the
 // sweep the README's software-speedup table reports. Both variants see
@@ -269,7 +269,7 @@ BM_AttentionSparse(benchmark::State &state)
         kAttnSeq, kAttnHeadDim, state.range(0) / 1000.0);
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            sparseMaskedAttention(p.q, p.k, p.v, p.smask, p.scale));
+            rowsAttention(p.q, p.k, p.v, &p.smask, false, p.scale));
 }
 BENCHMARK(BM_AttentionSparse)->Arg(1000)->Arg(500)->Arg(250)->Arg(125);
 
@@ -349,7 +349,7 @@ runSmoke()
         attentionProblem(kAttnSeq, kAttnHeadDim, 0.25);
     const Matrix dense = denseMaskedAttention(p);
     const Matrix sparse =
-        sparseMaskedAttention(p.q, p.k, p.v, p.smask, p.scale);
+        rowsAttention(p.q, p.k, p.v, &p.smask, false, p.scale);
     if (dense.rows() != sparse.rows() || dense.cols() != sparse.cols()) {
         std::fprintf(stderr, "smoke: shape mismatch\n");
         return 1;
@@ -370,7 +370,7 @@ runSmoke()
                                   reps);
     const double ts = bestSeconds(
         [&] {
-            return sparseMaskedAttention(p.q, p.k, p.v, p.smask, p.scale);
+            return rowsAttention(p.q, p.k, p.v, &p.smask, false, p.scale);
         },
         reps);
     std::printf("smoke: n=%zu d=%zu retention=25%% isa=%s threads=%zu\n"
@@ -392,7 +392,7 @@ runSmoke()
  * forward with an inference DotaDetector (top-k, 25% retention)
  * installed, against the same layer's hook-free dense forward. The
  * detected forward pays for the Q~/K~ projections, the estimate and the
- * selection, then runs the CSR backend; it must win at n = 2048. The
+ * selection, then runs the row kernel; it must win at n = 2048. The
  * ratios at 512 and 1024 are printed only (n = 512 is about break-even).
  * Chains into runInt8Smoke().
  */
@@ -416,7 +416,7 @@ runDetectedMhaSmoke()
             bestSeconds([&] { return attn.forward(x); }, reps);
         if (!attn.lastForwardSparse()) {
             std::fprintf(stderr, "smoke: FAIL — the detected forward did "
-                                 "not take the sparse backend\n");
+                                 "not take the sparse path\n");
             return 1;
         }
         ratio = tdet / td;

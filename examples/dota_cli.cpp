@@ -9,7 +9,7 @@
  *            [--mode full|conservative|aggressive]
  *            [--device <key>|list] [--lanes N] [--parallelism T]
  *            [--dataflow ooo|inorder|rowbyrow|streaming]
- *            [--attn auto|dense|sparse|streaming|list] [--sigma S]
+ *            [--attn auto|dense|sparse|list] [--sigma S]
  *            [--bits B] [--overlap] [--generation] [--csv]
  *
  * The software attention backend (DESIGN.md §13) is picked by --attn
@@ -111,7 +111,7 @@ usage()
         "                [--device <key>|list] [--lanes N]\n"
         "                [--parallelism T] [--dataflow ooo|inorder|"
         "rowbyrow|streaming]\n"
-        "                [--attn auto|dense|sparse|streaming|list]\n"
+        "                [--attn auto|dense|sparse|list]\n"
         "                [--precision fp32|int8|list]\n"
         "                [--sigma S] [--bits 2|4|8] [--overlap]\n"
         "                [--generation] [--trace] [--csv]\n"

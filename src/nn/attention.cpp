@@ -6,7 +6,7 @@
 
 #include <cmath>
 
-#include "tensor/sparse_mask.hpp"
+#include "tensor/rows_attention.hpp"
 
 namespace dota {
 
@@ -76,13 +76,11 @@ MultiHeadAttention::forward(const Matrix &x)
     z_ = Matrix(n, dim_);
     sparse_forward_ = false;
 
-    // Per-head backend dispatch (nn/attention_backend.hpp). Non-dense
-    // backends compute scores only at mask-kept coordinates — the
-    // software analogue of the accelerator omitting weak attentions —
-    // and are only legal when the hook does not need the full S (no
-    // estimation loss to maintain) and no measurement code forced the
-    // dense path. Sparse kept entries are bit-identical to the dense
-    // masked computation; streaming is tolerance-level (DESIGN.md §13).
+    // Per-head path (nn/attention_backend.hpp). The sparse path computes
+    // scores only at each row's kept keys — the software analogue of the
+    // accelerator omitting weak attentions — with the dense path's bits,
+    // and is only legal when the hook does not need the full S (no
+    // estimation loss to maintain) and no caller forced the dense path.
     const AttnChoice choice = attnChoice();
     const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(head_dim_));
     for (size_t h = 0; h < heads_; ++h) {
@@ -94,47 +92,37 @@ MultiHeadAttention::forward(const Matrix &x)
             hook_->observeQK(layer_, h, qh, kh);
             masks_[h] = hook_->selectSparseMask(layer_, h, causal_);
         }
+        // A hook mask replaces the causal constraint, on both paths.
         const bool hook_mask = !masks_[h].empty();
 
-        const AttnBackendKind kind = resolveAttnBackend(
+        head_backends_[h] = resolveAttnBackend(
             choice, hook_ != nullptr, hook_ && hook_->wantsFullScores(),
             force_dense_, hook_mask, n);
-        head_backends_[h] = kind;
-        const AttentionBackend &backend = attentionBackend(kind);
-
-        AttnHeadProblem p;
-        p.q = &qh;
-        p.k = &kh;
-        p.v = &vh;
-        p.scale = inv_sqrt_dk;
-        Matrix dense_mask;
-        if (kind == AttnBackendKind::Dense) {
-            // A hook mask replaces the causal constraint; otherwise the
-            // cached triangle (no per-forward n x n rebuild). Only this
-            // backend scatters the hook's CSR rows to a dense 0/1 matrix.
-            if (hook_mask) {
-                dense_mask = masks_[h].toDense();
-                p.dense_mask = &dense_mask;
-            } else if (causal_) {
-                p.dense_mask = &cachedCausalMask(n);
-            }
-        } else {
-            if (hook_mask)
-                p.sparse_mask = &masks_[h];
-            p.causal = causal_ && !hook_mask;
-        }
-
-        AttnHeadResult r = backend.runHead(p);
-        if (backend.capturesScores()) {
-            s_raw_[h] = std::move(r.scores);
-            a_[h] = std::move(r.probs);
-            if (hook_)
-                hook_->observeScores(layer_, h, s_raw_[h]);
-        } else {
+        if (head_backends_[h] == AttnBackendKind::Sparse) {
             // s_raw_[h]/a_[h] stay empty; observeScores skipped.
             sparse_forward_ = true;
+            addHeadSlice(z_,
+                         rowsAttention(qh, kh, vh,
+                                       hook_mask ? &masks_[h] : nullptr,
+                                       causal_ && !hook_mask, inv_sqrt_dk),
+                         h);
+            continue;
         }
-        addHeadSlice(z_, r.z, h);
+
+        // Raw scores S = Q K^T (pre-scaling, matching Eq. 5's target).
+        // Only this path scatters the hook's mask rows to a dense 0/1
+        // matrix; the causal triangle comes from the per-length cache.
+        s_raw_[h] = matmulBT(qh, kh);
+        const Matrix scaled = scale(s_raw_[h], inv_sqrt_dk);
+        if (hook_mask)
+            a_[h] = rowSoftmaxMasked(scaled, masks_[h].toDense());
+        else if (causal_)
+            a_[h] = rowSoftmaxMasked(scaled, cachedCausalMask(n));
+        else
+            a_[h] = rowSoftmax(scaled);
+        addHeadSlice(z_, matmul(a_[h], vh), h);
+        if (hook_)
+            hook_->observeScores(layer_, h, s_raw_[h]);
     }
     return matmul(z_, wo_.value);
 }
@@ -144,9 +132,8 @@ MultiHeadAttention::backward(const Matrix &dy)
 {
     DOTA_ASSERT(!x_.empty(), "backward before forward");
     DOTA_ASSERT(!sparse_forward_,
-                "backward after a non-dense inference forward: the "
-                "sparse/streaming backends do not cache S/A (training "
-                "hooks must return wantsFullScores() == true)");
+                "backward after a sparse inference forward: only the "
+                "dense path caches S/A (the trainers force it)");
     const size_t n = x_.rows();
     const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(head_dim_));
 

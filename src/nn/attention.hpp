@@ -7,13 +7,12 @@
  * causal constraint); Z = A V; out = Z W_O. Backward is hand-derived and
  * verified by finite differences in the test suite.
  *
- * Execution is delegated per head to a pluggable AttentionBackend
- * (nn/attention_backend.hpp): dense, CSR-sparse, or tiled streaming,
+ * Each head runs on one of two paths (nn/attention_backend.hpp),
  * selected at runtime from the hook's needs, the sequence length and
- * the DOTA_ATTN override. forward() prepares each head's problem
- * (slices, masks, scale) and dispatches; only the dense backend
- * materializes S/A, so the probe accessors below are a backend
- * capability, not a layer guarantee.
+ * the DOTA_ATTN override: dense (S and A materialized) or sparse (the
+ * exact row kernel of tensor/rows_attention.hpp, over each query row's
+ * kept keys). Both give the same bits; only the dense path captures
+ * S/A, so the probe accessors below and backward() depend on it.
  */
 #pragma once
 
@@ -54,18 +53,20 @@ class MultiHeadAttention : public Module
     Matrix backward(const Matrix &dy);
 
     /**
-     * Force the dense backend even when the installed hook permits a
-     * non-dense path (wantsFullScores() == false). Measurement code
-     * that reads lastScores()/lastAttention() — detection-quality
-     * metrics, score-distribution probes — sets this around its
-     * forwards. Overrides any DOTA_ATTN choice.
+     * Force the dense path even when the installed hook permits the
+     * sparse one (wantsFullScores() == false). Measurement code that
+     * reads lastScores()/lastAttention() — detection-quality metrics,
+     * score-distribution probes — and the trainers (backward needs S/A)
+     * set this around their forwards. Overrides any DOTA_ATTN choice.
      */
     void setForceDense(bool force) { force_dense_ = force; }
 
+    /** Current setForceDense() value. */
+    bool forceDense() const { return force_dense_; }
+
     /**
-     * True when the last forward ran any head through a non-dense
-     * backend (sparse or streaming): S/A are not cached for those
-     * heads and backward() is invalid.
+     * True when the last forward ran any head on the sparse path: S/A
+     * are not cached for those heads and backward() is invalid.
      */
     bool lastForwardSparse() const { return sparse_forward_; }
 
@@ -78,13 +79,13 @@ class MultiHeadAttention : public Module
 
     /**
      * Attention-probability matrices from the last forward, per head.
-     * Empty for heads whose backend does not capture scores.
+     * Empty for heads that took the sparse path.
      */
     const std::vector<Matrix> &lastAttention() const { return a_; }
 
     /**
      * Raw score matrices S = QK^T from the last forward, per head.
-     * Empty for heads whose backend does not capture scores.
+     * Empty for heads that took the sparse path.
      */
     const std::vector<Matrix> &lastScores() const { return s_raw_; }
 
@@ -96,7 +97,7 @@ class MultiHeadAttention : public Module
      */
     const std::vector<SparseMask> &lastMasks() const { return masks_; }
 
-    /** Backend each head of the last forward dispatched to. */
+    /** Path each head of the last forward took. */
     const std::vector<AttnBackendKind> &lastBackends() const
     {
         return head_backends_;

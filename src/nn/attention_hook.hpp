@@ -13,7 +13,7 @@
  *
  * The mask travels as CSR rows (selectSparseMask). The layers ask for
  * that form only and scatter it to a dense 0/1 matrix just for the dense
- * backend, so a hook that selects straight into CSR rows (DotaDetector)
+ * path, so a hook that selects straight into CSR rows (DotaDetector)
  * never builds an n x n matrix on the inference path. Hooks that only
  * override the dense selectMask keep working through the default
  * selectSparseMask, a fromDense adapter.
@@ -90,7 +90,7 @@ class AttentionHook
      * Whether this hook needs the full dense score matrix every forward.
      * When a hook returns false and selected a non-empty mask, the
      * attention layer is free to take the sparse inference path: scores
-     * are computed only at kept coordinates (tensor/sparse_ops.hpp),
+     * are computed only at kept coordinates (tensor/rows_attention.hpp),
      * observeScores() is skipped, and lastScores()/lastAttention() stay
      * empty for that head. This is the software analogue of the
      * accelerator's omission stage — work the detector rules out is never

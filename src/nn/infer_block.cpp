@@ -8,10 +8,8 @@
 #include <cmath>
 #include <numeric>
 
-#include "nn/attention_backend.hpp"
 #include "tensor/gemm_kernels.hpp"
 #include "tensor/quant.hpp"
-#include "tensor/streaming_attention.hpp"
 #include "tensor/topk.hpp"
 
 namespace dota {
@@ -70,11 +68,6 @@ attend(MultiHeadAttention &attn, const Matrix &q, const Matrix &k,
                 "a hooked block step needs an empty cache (hooks see "
                 "whole sequences), got {} cached positions", t0);
 
-    const AttnChoice choice = attnChoice();
-    const bool stream =
-        !bp && !hook && n == 1 && st.retention >= 1.0 &&
-        (choice == AttnChoice::Streaming ||
-         (choice == AttnChoice::Auto && t >= kStreamingAutoSeqLen));
     const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(dh));
     const auto &kt = activeGemmKernels();
     const U8Tensor qq = bp ? quantizeU8(q, bp->q_scale) : U8Tensor();
@@ -107,15 +100,6 @@ attend(MultiHeadAttention &attn, const Matrix &q, const Matrix &k,
         }
         for (size_t i = 0; i < n; ++i) {
             float *zrow = z.row(i) + off;
-            if (stream) {
-                KvCache &c = *st.cache;
-                streamingAttentionQuery(q.row(i) + off, c.k, c.v, off, dh,
-                                        inv_sqrt_dk, zrow, &p);
-                for (size_t j = 0; j < t; ++j)
-                    if (p[j] != 0.0f)
-                        c.mass[j] += p[j];
-                continue;
-            }
             // Kept keys, ascending: the hook mask's row (a hook mask
             // replaces the causal bound, as in the fp layer), otherwise
             // every key this row can see.

@@ -11,8 +11,9 @@
  *    K/V in place from the cache rows through the kernel table — `dot`
  *    for each score, the rowSoftmaxMasked operation sequence, and
  *    `sparseAvRow` over every kept key for A*V. Those are the per-element
- *    contracts of the dense path's matmulBT / matmul, so a decode step is
- *    bit-identical to the matching row of CausalLM::forward.
+ *    contracts of the dense path's matmulBT / matmul (and of the row
+ *    kernel), so a decode step at any cache length is bit-identical to
+ *    the matching row of CausalLM::forward.
  *  - int8 (an Int8BlockPlan): every GEMM on the u8 x s8 kernels, integer
  *    softmax between QK^T and A*V, s8 K/V codes in an Int8KvCache.
  *    Integer sums are exact, so a decode step is bit-identical to the
@@ -49,7 +50,7 @@ struct BlockStep
 
     /**
      * fp32 only: keep the top max(1, round(retention * visible)) keys of
-     * each query row (1.0 = dense). Below 1 a step never streams.
+     * each query row (1.0 = dense).
      */
     double retention = 1.0;
 
@@ -59,10 +60,9 @@ struct BlockStep
 
 /**
  * Run block @p blk over the new rows @p x (q_len x d), appending their
- * K/V to the step's cache; returns the block output (q_len x d). A
- * single fp32 row with retention 1 and no hook takes the streaming
- * query kernel when DOTA_ATTN picks streaming (or auto on a cache of
- * kStreamingAutoSeqLen positions or more), as decode always has.
+ * K/V to the step's cache; returns the block output (q_len x d). Every
+ * row takes the same exact path at any cache length; DOTA_ATTN does not
+ * apply here.
  */
 Matrix inferBlock(EncoderBlock &blk, const Matrix &x, const BlockStep &step);
 

@@ -1,17 +1,20 @@
 /**
  * @file
  * Dataflow analysis: memory traffic and utilization of a sparse attention
- * computation under the scheduling policies (Figures 8/9/15), plus the
- * streaming tiled dataflow of the software backend (DESIGN.md §13).
+ * computation under the scheduling policies (Figures 8/9/15), plus a
+ * streaming tiled dataflow for an accelerator whose score buffer holds
+ * one KV tile rather than one row (DESIGN.md §13).
  */
 #pragma once
 
 #include <string>
 
 #include "sched/scheduler.hpp"
-#include "tensor/streaming_attention.hpp"
 
 namespace dota {
+
+/** Default KV-tile width (keys per tile) of the StreamingTiled dataflow. */
+constexpr size_t kStreamingAttnTile = 64;
 
 /** Scheduling policy selector. */
 enum class Dataflow
@@ -26,8 +29,9 @@ enum class Dataflow
      * of the tile once to the group (tile-bounded score buffer instead
      * of row-length). Tiles with no kept key are skipped entirely, and
      * every contributing tile costs one extra accumulator-rescale
-     * round (the FLASH-D recurrence) — the accelerator-model twin of
-     * tensor/streaming_attention.hpp.
+     * round (the FLASH-D online-softmax recurrence). Modelled only: the
+     * software kernel (tensor/rows_attention.hpp) keeps a whole score
+     * row per thread and needs no recurrence.
      */
     StreamingTiled,
 };

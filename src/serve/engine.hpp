@@ -55,11 +55,12 @@ struct BatchPolicy
      * budget are admitted anyway (KV feasibility still required, all
      * pages reserved at admission) and prefilled across consecutive
      * steps, each step consuming up to the budget left after the
-     * decodes — the serving-side face of the streaming attention
-     * backend, whose O(tile) score memory is what makes a 32k-token
-     * prefill pass feasible at all. The first output token (TTFT) and
-     * the DOTA eviction pass happen when the last chunk lands. Off by
-     * default so existing generation goldens are untouched.
+     * decodes — the serving-side face of the row attention kernel,
+     * whose one score row per thread (no n x n matrix) is what makes
+     * a 32k-token prefill pass feasible at all. The first output token
+     * (TTFT) and the DOTA eviction pass happen when the last chunk
+     * lands. Off by default so existing generation goldens are
+     * untouched.
      */
     bool streaming_prefill = false;
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Level-1 dense micro-kernels: the ISA-dispatched inner loops behind
- * matmul / matmulBT / matmulAT and the Level-2 sparse attention kernels
- * (DESIGN.md §11).
+ * matmul / matmulBT / matmulAT and the row attention kernel
+ * (DESIGN.md §11, §13).
  *
  * Each kernel exists once per SimdIsa (portable C++ and AVX2/FMA). The
  * two instantiations are bit-identical by construction because every
@@ -33,9 +33,10 @@
  * to exactly one chunk, results are additionally bit-identical across
  * every DOTA_THREADS value (the PR 1 determinism contract).
  *
- * These entry points are consumed by tensor/ops.cpp and
- * tensor/sparse_ops.cpp; application code should keep calling the
- * Matrix-level kernels in tensor/ops.hpp.
+ * These entry points are consumed by tensor/ops.cpp,
+ * tensor/rows_attention.cpp, the detector and the inference block step;
+ * application code should keep calling the Matrix-level kernels in
+ * tensor/ops.hpp.
  */
 #pragma once
 

@@ -58,8 +58,8 @@ gemmParallelMacThreshold()
  * (tensor/gemm_kernels.hpp). The dense inner loops deliberately do NOT
  * skip zero multiplicands: the old `av == 0.0f` shortcut silently
  * turned 0 * Inf/NaN into 0 instead of NaN and put an unpredictable
- * branch in the hot loop. Sparsity now lives in the Level-2 kernels
- * (tensor/sparse_ops.hpp), which skip *coordinates*, not values.
+ * branch in the hot loop. Sparsity lives in the row attention kernel
+ * (tensor/rows_attention.hpp), which skips *coordinates*, not values.
  */
 
 Matrix

@@ -3,7 +3,7 @@
  * Long-context needle-retrieval workload (32k-128k tokens).
  *
  * The paper's figures stop at 4k tokens because a dense n x n score
- * matrix is the limiting factor. The streaming attention backend
+ * matrix is the limiting factor. The row attention kernel
  * (DESIGN.md §13) removes that limit, and this family exists to
  * exercise it at 32k+ where the dense path would need gigabytes of
  * score memory: a single attention head whose inputs are synthesized
@@ -17,8 +17,8 @@
  * the payload into the output, where `needleRecall` reads it back with
  * an argmax — near 1.0 for a faithful kernel, ~1/needles for a broken
  * one. Because the task is judged end-to-end on the attention *output*,
- * it validates any backend (dense, sparse rows, streaming) without ever
- * materializing dense scores.
+ * it validates either attention path (dense, or the row kernel without
+ * ever materializing dense scores).
  *
  * The companion mask keeps, per row, the needles plus a local window
  * plus optional random distractors — the hub + locality structure of

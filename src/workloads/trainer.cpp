@@ -61,6 +61,36 @@ accumulateGrads(const std::vector<Parameter *> &params,
     }
 }
 
+/**
+ * Keeps every attention layer of a model on the dense path for one
+ * train() call — backward needs the S/A only that path caches, also when
+ * an inference-only hook is installed — and restores each layer's
+ * previous setting afterwards.
+ */
+template <class Model>
+class DenseTrainingScope
+{
+  public:
+    explicit DenseTrainingScope(Model &model) : model_(model)
+    {
+        for (auto &blk : model_.blocks()) {
+            prev_.push_back(blk->attention().forceDense());
+            blk->attention().setForceDense(true);
+        }
+    }
+    ~DenseTrainingScope()
+    {
+        for (size_t i = 0; i < prev_.size(); ++i)
+            model_.blocks()[i]->attention().setForceDense(prev_[i]);
+    }
+    DenseTrainingScope(const DenseTrainingScope &) = delete;
+    DenseTrainingScope &operator=(const DenseTrainingScope &) = delete;
+
+  private:
+    Model &model_;
+    std::vector<bool> prev_;
+};
+
 } // namespace
 
 ClassifierTrainer::ClassifierTrainer(TransformerClassifier &model,
@@ -81,6 +111,7 @@ ClassifierTrainer::addExtraParams(const std::vector<Parameter *> &params)
 double
 ClassifierTrainer::train()
 {
+    const DenseTrainingScope<TransformerClassifier> dense(model_);
     Adam opt(params_, cfg_.adam);
     Rng data_rng(cfg_.data_seed);
     loss_history_.clear();
@@ -107,6 +138,7 @@ ClassifierTrainer::train()
     for (size_t s = 1; s < slots; ++s) {
         replicas.push_back(
             std::make_unique<TransformerClassifier>(model_.config()));
+        replicas.back()->setForceDense(true);
         replica_params.emplace_back();
         replicas.back()->collectParams(replica_params.back());
     }
@@ -210,6 +242,7 @@ LMTrainer::addExtraParams(const std::vector<Parameter *> &params)
 double
 LMTrainer::train()
 {
+    const DenseTrainingScope<CausalLM> dense(model_);
     Adam opt(params_, cfg_.adam);
     Rng data_rng(cfg_.data_seed);
     loss_history_.clear();
@@ -227,6 +260,7 @@ LMTrainer::train()
     std::vector<std::vector<Parameter *>> replica_params;
     for (size_t s = 1; s < slots; ++s) {
         replicas.push_back(std::make_unique<CausalLM>(model_.config()));
+        replicas.back()->setForceDense(true);
         replica_params.emplace_back();
         replicas.back()->collectParams(replica_params.back());
     }

@@ -96,7 +96,12 @@ class ClassifierTrainer
         grad_cb_ = std::move(cb);
     }
 
-    /** Run the configured number of steps; returns final mean loss. */
+    /**
+     * Run the configured number of steps; returns final mean loss.
+     * Every training forward takes the dense attention path (backward
+     * needs its S/A), whatever hook is installed; the model's
+     * setForceDense() state is restored on return.
+     */
     double train();
 
     /** Mean loss of every step of the most recent train() call. */
@@ -136,6 +141,7 @@ class LMTrainer
         grad_cb_ = std::move(cb);
     }
 
+    /** See ClassifierTrainer::train (same dense-attention rule). */
     double train();
 
     /** Mean loss of every step of the most recent train() call. */

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/dota.hpp"
 
 namespace dota {
@@ -148,6 +150,66 @@ TEST(Integration, OracleBeatsElsaBeatsRandomOnTrainedModel)
     EXPECT_GT(q_oracle.recall, q_elsa.recall);
     EXPECT_GT(q_oracle.mass_recall, q_elsa.mass_recall);
     EXPECT_GT(q_elsa.mass_recall, 0.2); // better than uniform share
+}
+
+TEST(Trainer, AdaptsThroughInferenceHook)
+{
+    // An inference-only detector (train = false) lets the attention
+    // layers take the sparse path, which caches no S/A for backward. The
+    // trainers keep their own forwards dense, so adaptation through such
+    // a hook trains; the next forward after training is sparse again.
+    ScopedAttnChoice pin(AttnChoice::Auto);
+    DetectorConfig dc;
+    dc.retention = 0.25;
+    dc.sigma = 0.5;
+    dc.train = false;
+    TrainConfig trc;
+    trc.steps = 3;
+    trc.batch = 2;
+    Rng rng(5);
+
+    TransformerConfig mc;
+    mc.in_dim = 12;
+    mc.dim = 32;
+    mc.heads = 2;
+    mc.layers = 2;
+    mc.ffn_dim = 64;
+    mc.classes = 2;
+    TransformerClassifier model(mc);
+    TaskConfig tc;
+    tc.seq_len = 32;
+    tc.in_dim = 12;
+    tc.classes = 2;
+    SyntheticTask task(tc);
+    DotaDetector det(mc, dc);
+    model.setHook(&det);
+    ClassifierTrainer trainer(model, task, trc);
+    EXPECT_TRUE(std::isfinite(trainer.train()));
+    model.forward(task.sample(rng).features);
+    for (auto &blk : model.blocks()) {
+        EXPECT_FALSE(blk->attention().forceDense());
+        EXPECT_TRUE(blk->attention().lastForwardSparse());
+    }
+    model.setHook(nullptr);
+
+    TransformerConfig lc = mc;
+    lc.vocab = 32;
+    lc.max_seq = 40;
+    CausalLM lm(lc);
+    GrammarConfig gc;
+    gc.vocab = 32;
+    gc.seq_len = 32;
+    SyntheticGrammar grammar(gc);
+    DotaDetector lm_det(lc, dc);
+    lm.setHook(&lm_det);
+    LMTrainer lm_trainer(lm, grammar, trc);
+    EXPECT_TRUE(std::isfinite(lm_trainer.train()));
+    lm.forward(grammar.sample(rng));
+    for (auto &blk : lm.blocks()) {
+        EXPECT_FALSE(blk->attention().forceDense());
+        EXPECT_TRUE(blk->attention().lastForwardSparse());
+    }
+    lm.setHook(nullptr);
 }
 
 } // namespace

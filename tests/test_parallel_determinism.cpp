@@ -1,8 +1,9 @@
 /**
  * @file
  * Property tests for the parallel-execution determinism contract: GEMMs,
- * trainer gradient steps and fleet dispatch must be bit-identical at
- * DOTA_THREADS=1 and DOTA_THREADS=8 (DESIGN.md, "Parallel execution").
+ * the row attention kernel, trainer gradient steps and fleet dispatch
+ * must be bit-identical at DOTA_THREADS=1 and DOTA_THREADS=8 (DESIGN.md,
+ * "Parallel execution").
  */
 #include <gtest/gtest.h>
 
@@ -13,9 +14,10 @@
 #include "common/thread_pool.hpp"
 #include "detect/detector.hpp"
 #include "device/fleet.hpp"
+#include "nn/attention.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/rows_attention.hpp"
 #include "tensor/sparse_mask.hpp"
-#include "tensor/sparse_ops.hpp"
 #include "tensor/topk.hpp"
 #include "workloads/trainer.hpp"
 
@@ -301,23 +303,55 @@ TEST(ParallelDeterminism, RepeatedParallelRunsAreStable)
         EXPECT_TRUE(bitIdentical(a.second[i], b.second[i]));
 }
 
-TEST(ParallelDeterminism, SparseAttentionBitIdentical)
+TEST(StreamingAttention, BitIdenticalAcrossThreadCounts)
 {
-    // The Level-2 sparse attention kernels (tensor/sparse_ops.hpp) use
-    // the same one-chunk-per-output-row parallelization as the dense
-    // GEMMs; a sequence long enough to cross the MAC threshold must be
-    // bit-identical at DOTA_THREADS=1 and 8.
-    const size_t n = 384, d = 64;
-    Rng rng(2077);
+    // The row kernel gives every query row to exactly one parallelFor
+    // chunk; a head large enough to cross the MAC threshold must be
+    // bit-identical at DOTA_THREADS=1 and 8, unmasked, causal and under
+    // a DOTA top-k mask.
+    const size_t n = 256, d = 32;
+    Rng rng(907);
     const Matrix q = Matrix::randomNormal(n, d, rng);
     const Matrix k = Matrix::randomNormal(n, d, rng);
     const Matrix v = Matrix::randomNormal(n, d, rng);
     const Matrix proxy = Matrix::randomNormal(n, n, rng);
-    const SparseMask mask = SparseMask::fromDense(topkMask(proxy, n / 4));
+    const SparseMask mask = SparseMask::fromDense(topkMask(proxy, 48));
     const float sc = 1.0f / std::sqrt(static_cast<float>(d));
 
-    auto [serial, parallel] = atBothThreadCounts(
-        [&] { return sparseMaskedAttention(q, k, v, mask, sc); });
+    for (const SparseMask *m : {static_cast<const SparseMask *>(nullptr),
+                                &mask}) {
+        for (bool causal : {false, true}) {
+            auto [serial, parallel] = atBothThreadCounts(
+                [&] { return rowsAttention(q, k, v, m, causal, sc); });
+            EXPECT_TRUE(bitIdentical(serial, parallel))
+                << "masked=" << (m != nullptr) << " causal=" << causal;
+        }
+    }
+}
+
+TEST(ParallelDeterminism, SparseAttentionBitIdentical)
+{
+    // The sparse path end to end: a causal MultiHeadAttention with an
+    // inference DotaDetector installed selects every head's mask and runs
+    // the row kernel, all under parallelFor; the layer output must not
+    // depend on the thread count.
+    TransformerConfig mc;
+    mc.dim = 64;
+    mc.heads = 2;
+    mc.layers = 1;
+    DetectorConfig dc;
+    dc.train = false;
+    dc.retention = 0.25;
+    DotaDetector det(mc, dc);
+    Rng rng(2077);
+    MultiHeadAttention attn("p", 0, mc.dim, mc.heads, rng, /*causal=*/true);
+    attn.setHook(&det);
+    const Matrix x = Matrix::randomNormal(384, mc.dim, rng);
+
+    ScopedAttnChoice pin(AttnChoice::Auto);
+    auto [serial, parallel] =
+        atBothThreadCounts([&] { return attn.forward(x); });
+    EXPECT_TRUE(attn.lastForwardSparse());
     EXPECT_TRUE(bitIdentical(serial, parallel));
 }
 

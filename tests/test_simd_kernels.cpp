@@ -7,8 +7,9 @@
  *    empty extremes;
  *  - bit-exact equivalence of the portable and AVX2 kernel tables (the
  *    per-element reduction contract in tensor/gemm_kernels.hpp);
- *  - the Level-2 sparse attention kernels against the dense masked
- *    computation, bitwise on kept coordinates;
+ *  - the row attention kernel's stages (sparseScoreRow, the masked
+ *    softmax over kept scores, sparseAvRow) on both kernel tables and the
+ *    whole kernel against the dense masked computation, bitwise;
  *  - the MultiHeadAttention sparse inference path against its forced
  *    dense path, bitwise.
  */
@@ -16,14 +17,15 @@
 
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "nn/attention.hpp"
 #include "tensor/gemm_kernels.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/rows_attention.hpp"
 #include "tensor/simd.hpp"
 #include "tensor/sparse_mask.hpp"
-#include "tensor/sparse_ops.hpp"
 #include "tensor/topk.hpp"
 
 namespace dota {
@@ -184,6 +186,17 @@ TEST(SimdKernels, PortableAndAvx2TablesBitIdentical)
     }
 }
 
+/** The portable kernel table, plus AVX2 when built and usable. */
+std::vector<const GemmKernelTable *>
+kernelTables()
+{
+    const GemmKernelTable *portable = &detail::portableGemmKernels();
+    const GemmKernelTable *avx2 = &gemmKernels(SimdIsa::Avx2);
+    if (avx2 == portable)
+        return {portable};
+    return {portable, avx2};
+}
+
 TEST(SimdKernels, SparseScoresMatchDenseAtKeptCoordinates)
 {
     Rng rng(44);
@@ -194,15 +207,41 @@ TEST(SimdKernels, SparseScoresMatchDenseAtKeptCoordinates)
         const Matrix proxy = Matrix::randomNormal(n, n, rng);
         const SparseMask mask =
             SparseMask::fromDense(topkMask(proxy, std::max<size_t>(1, n / 4)));
-
-        const CsrMatrix s = sparseRowsMatmulBT(q, k, mask);
         const Matrix dense = matmulBT(q, k);
-        ASSERT_EQ(s.rows, n);
-        for (size_t r = 0; r < n; ++r)
-            for (uint32_t t = s.row_ptr[r]; t < s.row_ptr[r + 1]; ++t)
-                EXPECT_EQ(s.val[t], dense(r, s.col[t]))
-                    << "row " << r << " col " << s.col[t];
+        for (const GemmKernelTable *kt : kernelTables()) {
+            std::vector<float> s(n);
+            for (size_t r = 0; r < n; ++r) {
+                const std::vector<uint32_t> &ids = mask.row(r);
+                kt->sparseScoreRow(q.row(r), k, ids.data(), ids.size(),
+                                   s.data());
+                for (size_t t = 0; t < ids.size(); ++t)
+                    EXPECT_EQ(s[t], dense(r, ids[t]))
+                        << "row " << r << " col " << ids[t];
+            }
+        }
     }
+}
+
+/**
+ * The row kernel's softmax step over @p mask's kept scores: each row's
+ * kept entries of @p scores gathered, scaled once and soft-maxed in
+ * place, then scattered back (zeros elsewhere).
+ */
+Matrix
+keptRowSoftmax(const Matrix &scores, const SparseMask &mask, float sc)
+{
+    Matrix p(scores.rows(), scores.cols());
+    std::vector<float> row;
+    for (size_t r = 0; r < scores.rows(); ++r) {
+        const std::vector<uint32_t> &ids = mask.row(r);
+        row.resize(ids.size());
+        for (size_t t = 0; t < ids.size(); ++t)
+            row[t] = scores(r, ids[t]) * sc;
+        softmaxInPlace(row.data(), row.size());
+        for (size_t t = 0; t < ids.size(); ++t)
+            p(r, ids[t]) = row[t];
+    }
+    return p;
 }
 
 TEST(SimdKernels, MaskedSoftmaxMatchesDenseIncludingEmptyRows)
@@ -212,24 +251,16 @@ TEST(SimdKernels, MaskedSoftmaxMatchesDenseIncludingEmptyRows)
     const Matrix scores = Matrix::randomNormal(n, n, rng);
     Matrix dense_mask = topkMask(scores, 6);
     // Force one fully-omitted row: the dense path yields an all-zero
-    // probability row there, the sparse path an empty CSR row.
+    // probability row there, the kept-score softmax an empty one.
     for (size_t c = 0; c < n; ++c)
         dense_mask(3, c) = 0.0f;
     const SparseMask mask = SparseMask::fromDense(dense_mask);
     const float sc = 0.125f;
 
-    CsrMatrix s = csrFromMask(mask);
-    // Fill CSR values with the dense scores at kept coordinates.
-    for (size_t r = 0; r < n; ++r)
-        for (uint32_t t = s.row_ptr[r]; t < s.row_ptr[r + 1]; ++t)
-            s.val[t] = scores(r, s.col[t]);
-
-    const CsrMatrix p = maskedSoftmax(s, sc);
     const Matrix ref = rowSoftmaxMasked(scale(scores, sc), dense_mask);
-    const Matrix p_dense = p.toDense();
-    EXPECT_TRUE(bitIdentical(p_dense, ref));
-    // Empty row stayed empty.
-    EXPECT_EQ(p.row_ptr[3], p.row_ptr[4]);
+    EXPECT_TRUE(bitIdentical(keptRowSoftmax(scores, mask, sc), ref));
+    for (size_t c = 0; c < n; ++c)
+        EXPECT_EQ(ref(3, c), 0.0f);
 }
 
 TEST(SimdKernels, MaskedSoftmaxOnFullMaskMatchesRowSoftmax)
@@ -240,16 +271,10 @@ TEST(SimdKernels, MaskedSoftmaxOnFullMaskMatchesRowSoftmax)
     Matrix full(n, n);
     for (size_t i = 0; i < full.size(); ++i)
         full.data()[i] = 1.0f;
-    const SparseMask mask = SparseMask::fromDense(full);
-
-    CsrMatrix s = csrFromMask(mask);
-    for (size_t r = 0; r < n; ++r)
-        for (uint32_t t = s.row_ptr[r]; t < s.row_ptr[r + 1]; ++t)
-            s.val[t] = scores(r, s.col[t]);
     const float sc = 0.25f;
-    const CsrMatrix p = maskedSoftmax(s, sc);
-    const Matrix ref = rowSoftmax(scale(scores, sc));
-    EXPECT_TRUE(bitIdentical(p.toDense(), ref));
+    const SparseMask mask = SparseMask::fromDense(full);
+    EXPECT_TRUE(bitIdentical(keptRowSoftmax(scores, mask, sc),
+                             rowSoftmax(scale(scores, sc))));
 }
 
 TEST(SimdKernels, SparseAvMatchesDenseMatmul)
@@ -257,25 +282,30 @@ TEST(SimdKernels, SparseAvMatchesDenseMatmul)
     Rng rng(47);
     const size_t n = 37, d = 19;
     const Matrix proxy = Matrix::randomNormal(n, n, rng);
-    const Matrix dense_mask = topkMask(proxy, 9);
-    const SparseMask mask = SparseMask::fromDense(dense_mask);
+    const SparseMask mask = SparseMask::fromDense(topkMask(proxy, 9));
     const Matrix v = Matrix::randomNormal(n, d, rng);
 
-    // Positive CSR values (softmax-like) with zeros elsewhere in the
+    // Positive kept values (softmax-like) with zeros elsewhere in the
     // dense twin: the sparse kernel skips exactly the zero terms, so the
     // results are bitwise equal.
-    CsrMatrix a = csrFromMask(mask);
+    std::vector<std::vector<float>> vals(n);
     Matrix a_dense(n, n);
-    Rng vals(48);
+    Rng val_rng(48);
     for (size_t r = 0; r < n; ++r)
-        for (uint32_t t = a.row_ptr[r]; t < a.row_ptr[r + 1]; ++t) {
+        for (uint32_t c : mask.row(r)) {
             const float x =
-                0.05f + std::abs(static_cast<float>(vals.normal()));
-            a.val[t] = x;
-            a_dense(r, a.col[t]) = x;
+                0.05f + std::abs(static_cast<float>(val_rng.normal()));
+            vals[r].push_back(x);
+            a_dense(r, c) = x;
         }
-
-    EXPECT_TRUE(bitIdentical(sparseRowsMatmul(a, v), matmul(a_dense, v)));
+    const Matrix ref = matmul(a_dense, v);
+    for (const GemmKernelTable *kt : kernelTables()) {
+        Matrix out(n, d);
+        for (size_t r = 0; r < n; ++r)
+            kt->sparseAvRow(vals[r].data(), mask.row(r).data(),
+                            mask.row(r).size(), v.data(), d, d, out.row(r));
+        EXPECT_TRUE(bitIdentical(out, ref));
+    }
 }
 
 TEST(SimdKernels, SparseMaskedAttentionMatchesDenseMaskedPath)
@@ -292,7 +322,7 @@ TEST(SimdKernels, SparseMaskedAttentionMatchesDenseMaskedPath)
         const SparseMask mask = SparseMask::fromDense(dense_mask);
         const float sc = 1.0f / std::sqrt(static_cast<float>(d));
 
-        const Matrix sparse = sparseMaskedAttention(q, k, v, mask, sc);
+        const Matrix sparse = rowsAttention(q, k, v, &mask, false, sc);
         const Matrix dense = matmul(
             rowSoftmaxMasked(scale(matmulBT(q, k), sc), dense_mask), v);
         EXPECT_TRUE(bitIdentical(sparse, dense)) << "n=" << n;
@@ -321,9 +351,8 @@ class FixedMaskHook : public AttentionHook
 
 TEST(SimdKernels, AttentionSparsePathBitIdenticalToForcedDense)
 {
-    // Pin the CSR sparse-rows backend: this test asserts bit-identity
-    // to dense, which the streaming backend deliberately does not
-    // promise (so a DOTA_ATTN=streaming environment must not leak in).
+    // Pin the sparse path so a DOTA_ATTN=dense environment cannot
+    // turn the comparison into dense against dense.
     ScopedAttnChoice pin(AttnChoice::Sparse);
     Rng rng(50);
     const size_t n = 40, dim = 32, heads = 4;

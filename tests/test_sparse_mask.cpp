@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the SparseMask representation and edge cases of the
- * CSR sparse-attention kernels that consume it.
+ * row attention kernel that consumes it.
  */
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 
 #include "tensor/ops.hpp"
 #include "tensor/sparse_mask.hpp"
-#include "tensor/sparse_ops.hpp"
+#include "tensor/rows_attention.hpp"
 #include "tensor/topk.hpp"
 
 namespace dota {
@@ -100,7 +100,7 @@ TEST(SparseKernels, EmptyRowsProduceZeroOutput)
         if (r != 0 && r != 4)
             m.setRow(r, {static_cast<uint32_t>(r)});
 
-    const Matrix out = sparseMaskedAttention(q, k, v, m, 0.5f);
+    const Matrix out = rowsAttention(q, k, v, &m, false, 0.5f);
     for (size_t c = 0; c < d; ++c) {
         EXPECT_EQ(out(0, c), 0.0f);
         EXPECT_EQ(out(4, c), 0.0f);
@@ -112,7 +112,7 @@ TEST(SparseKernels, EmptyRowsProduceZeroOutput)
 
 TEST(SparseKernels, FullRetentionBitIdenticalToDenseSoftmax)
 {
-    // 100% retention: the CSR path must reproduce the dense masked
+    // 100% retention: the row kernel must reproduce the dense masked
     // softmax bit-for-bit (the kernels share reduction contracts).
     Rng rng(67);
     const size_t n = 12, d = 8;
@@ -127,7 +127,7 @@ TEST(SparseKernels, FullRetentionBitIdenticalToDenseSoftmax)
         full.setRow(r, all);
     const float sc = 1.0f / std::sqrt(static_cast<float>(d));
 
-    const Matrix sparse = sparseMaskedAttention(q, k, v, full, sc);
+    const Matrix sparse = rowsAttention(q, k, v, &full, false, sc);
     const Matrix dense = matmul(
         rowSoftmaxMasked(scale(matmulBT(q, k), sc), full.toDense()), v);
     ASSERT_EQ(sparse.rows(), dense.rows());
@@ -146,7 +146,7 @@ TEST(SparseKernels, SingleTokenSequence)
     const Matrix v = Matrix::randomNormal(1, 6, rng);
     SparseMask m(1, 1);
     m.setRow(0, {0});
-    const Matrix out = sparseMaskedAttention(q, k, v, m, 1.0f);
+    const Matrix out = rowsAttention(q, k, v, &m, false, 1.0f);
     // The lone probability is 1: output == value row.
     for (size_t c = 0; c < 6; ++c)
         EXPECT_NEAR(out(0, c), v(0, c), 1e-6f);
@@ -164,7 +164,7 @@ TEST(SparseKernels, SingleConnectionPerRowCopiesValues)
     SparseMask m(n, n);
     for (size_t r = 0; r < n; ++r)
         m.setRow(r, {static_cast<uint32_t>((r + 3) % n)});
-    const Matrix out = sparseMaskedAttention(q, k, v, m, 0.25f);
+    const Matrix out = rowsAttention(q, k, v, &m, false, 0.25f);
     for (size_t r = 0; r < n; ++r)
         for (size_t c = 0; c < d; ++c)
             EXPECT_NEAR(out(r, c), v((r + 3) % n, c), 1e-6f);
