@@ -61,9 +61,6 @@ class MultiHeadAttention : public Module
      */
     void setForceDense(bool force) { force_dense_ = force; }
 
-    /** Current setForceDense() value. */
-    bool forceDense() const { return force_dense_; }
-
     /**
      * True when the last forward ran any head on the sparse path: S/A
      * are not cached for those heads and backward() is invalid.

@@ -61,36 +61,6 @@ accumulateGrads(const std::vector<Parameter *> &params,
     }
 }
 
-/**
- * Keeps every attention layer of a model on the dense path for one
- * train() call — backward needs the S/A only that path caches, also when
- * an inference-only hook is installed — and restores each layer's
- * previous setting afterwards.
- */
-template <class Model>
-class DenseTrainingScope
-{
-  public:
-    explicit DenseTrainingScope(Model &model) : model_(model)
-    {
-        for (auto &blk : model_.blocks()) {
-            prev_.push_back(blk->attention().forceDense());
-            blk->attention().setForceDense(true);
-        }
-    }
-    ~DenseTrainingScope()
-    {
-        for (size_t i = 0; i < prev_.size(); ++i)
-            model_.blocks()[i]->attention().setForceDense(prev_[i]);
-    }
-    DenseTrainingScope(const DenseTrainingScope &) = delete;
-    DenseTrainingScope &operator=(const DenseTrainingScope &) = delete;
-
-  private:
-    Model &model_;
-    std::vector<bool> prev_;
-};
-
 } // namespace
 
 ClassifierTrainer::ClassifierTrainer(TransformerClassifier &model,
@@ -111,7 +81,9 @@ ClassifierTrainer::addExtraParams(const std::vector<Parameter *> &params)
 double
 ClassifierTrainer::train()
 {
-    const DenseTrainingScope<TransformerClassifier> dense(model_);
+    // Backward needs the S/A only the dense path caches, also when an
+    // inference-only hook is installed.
+    model_.setForceDense(true);
     Adam opt(params_, cfg_.adam);
     Rng data_rng(cfg_.data_seed);
     loss_history_.clear();
@@ -203,6 +175,7 @@ ClassifierTrainer::train()
             break; // simulated preemption (tests)
     }
     guard_stats_ = guard.stats();
+    model_.setForceDense(false);
     return last_loss;
 }
 
@@ -242,7 +215,7 @@ LMTrainer::addExtraParams(const std::vector<Parameter *> &params)
 double
 LMTrainer::train()
 {
-    const DenseTrainingScope<CausalLM> dense(model_);
+    model_.setForceDense(true);
     Adam opt(params_, cfg_.adam);
     Rng data_rng(cfg_.data_seed);
     loss_history_.clear();
@@ -313,6 +286,7 @@ LMTrainer::train()
             break; // simulated preemption (tests)
     }
     guard_stats_ = guard.stats();
+    model_.setForceDense(false);
     return last_loss;
 }
 

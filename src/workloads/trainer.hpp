@@ -99,8 +99,8 @@ class ClassifierTrainer
     /**
      * Run the configured number of steps; returns final mean loss.
      * Every training forward takes the dense attention path (backward
-     * needs its S/A), whatever hook is installed; the model's
-     * setForceDense() state is restored on return.
+     * needs its S/A), whatever hook is installed; setForceDense(false)
+     * is applied on return.
      */
     double train();
 

@@ -306,21 +306,26 @@ TEST(ParallelDeterminism, RepeatedParallelRunsAreStable)
 TEST(StreamingAttention, BitIdenticalAcrossThreadCounts)
 {
     // The row kernel gives every query row to exactly one parallelFor
-    // chunk; a head large enough to cross the MAC threshold must be
-    // bit-identical at DOTA_THREADS=1 and 8, unmasked, causal and under
-    // a DOTA top-k mask.
-    const size_t n = 256, d = 32;
+    // chunk. The head is sized so that all three cases (unmasked, causal
+    // and a DOTA top-k mask) cross the MAC threshold into the parallel
+    // branch; each must be bit-identical at DOTA_THREADS=1 and 8.
+    const size_t n = 256, d = 128;
     Rng rng(907);
     const Matrix q = Matrix::randomNormal(n, d, rng);
     const Matrix k = Matrix::randomNormal(n, d, rng);
     const Matrix v = Matrix::randomNormal(n, d, rng);
     const Matrix proxy = Matrix::randomNormal(n, n, rng);
-    const SparseMask mask = SparseMask::fromDense(topkMask(proxy, 48));
+    const SparseMask mask = SparseMask::fromDense(topkMask(proxy, 96));
     const float sc = 1.0f / std::sqrt(static_cast<float>(d));
 
     for (const SparseMask *m : {static_cast<const SparseMask *>(nullptr),
                                 &mask}) {
         for (bool causal : {false, true}) {
+            const uint64_t kept =
+                m ? m->nnz() : (causal ? n * (n + 1) / 2 : n * n);
+            ASSERT_GE(kept * d, gemmParallelMacThreshold())
+                << "masked=" << (m != nullptr) << " causal=" << causal
+                << " would run serially";
             auto [serial, parallel] = atBothThreadCounts(
                 [&] { return rowsAttention(q, k, v, m, causal, sc); });
             EXPECT_TRUE(bitIdentical(serial, parallel))
@@ -334,9 +339,10 @@ TEST(ParallelDeterminism, SparseAttentionBitIdentical)
     // The sparse path end to end: a causal MultiHeadAttention with an
     // inference DotaDetector installed selects every head's mask and runs
     // the row kernel, all under parallelFor; the layer output must not
-    // depend on the thread count.
+    // depend on the thread count. Every head keeps enough connections for
+    // the row kernel itself to take its parallel branch.
     TransformerConfig mc;
-    mc.dim = 64;
+    mc.dim = 128;
     mc.heads = 2;
     mc.layers = 1;
     DetectorConfig dc;
@@ -346,12 +352,15 @@ TEST(ParallelDeterminism, SparseAttentionBitIdentical)
     Rng rng(2077);
     MultiHeadAttention attn("p", 0, mc.dim, mc.heads, rng, /*causal=*/true);
     attn.setHook(&det);
-    const Matrix x = Matrix::randomNormal(384, mc.dim, rng);
+    const Matrix x = Matrix::randomNormal(512, mc.dim, rng);
 
     ScopedAttnChoice pin(AttnChoice::Auto);
     auto [serial, parallel] =
         atBothThreadCounts([&] { return attn.forward(x); });
     EXPECT_TRUE(attn.lastForwardSparse());
+    const size_t head_dim = mc.dim / mc.heads;
+    for (const SparseMask &m : attn.lastMasks())
+        EXPECT_GE(m.nnz() * head_dim, gemmParallelMacThreshold());
     EXPECT_TRUE(bitIdentical(serial, parallel));
 }
 
