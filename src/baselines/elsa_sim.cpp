@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/topk.hpp"
+
 namespace dota {
 
 namespace {
@@ -31,9 +33,7 @@ ElsaAccelerator::simulate(const Benchmark &bench) const
     const uint64_t n = s.seq_len, h = s.heads, dh = s.headDim();
     const uint64_t m = cfg_.hash_bits;
     const uint64_t h_lane = ceilDiv(h, hw_.lanes);
-    const uint64_t keep = std::max<uint64_t>(
-        1, static_cast<uint64_t>(std::llround(
-               cfg_.retention * static_cast<double>(n))));
+    const uint64_t keep = keepCount(cfg_.retention, n);
     const uint64_t nnz = n * keep;
 
     RunReport report;

@@ -56,10 +56,7 @@ Matrix
 A3Detector::selectMask(size_t, size_t, bool causal)
 {
     DOTA_ASSERT(!est_.empty(), "selectMask before observeQK");
-    const size_t n = est_.rows();
-    const size_t keep = std::max<size_t>(
-        1, static_cast<size_t>(std::llround(
-               cfg_.retention * static_cast<double>(n))));
+    const size_t keep = keepCount(cfg_.retention, est_.rows());
     return causal ? topkMaskCausal(est_, keep) : topkMask(est_, keep);
 }
 

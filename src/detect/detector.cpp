@@ -52,9 +52,7 @@ DotaDetector::headIndex(size_t layer, size_t head) const
 size_t
 DotaDetector::keepCount(size_t n) const
 {
-    return std::max<size_t>(
-        1, static_cast<size_t>(std::llround(
-               cfg_.retention * static_cast<double>(n))));
+    return dota::keepCount(cfg_.retention, n);
 }
 
 Matrix

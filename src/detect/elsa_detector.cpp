@@ -52,10 +52,7 @@ ElsaDetector::selectMask(size_t layer, size_t head, bool causal)
     (void)layer;
     (void)head;
     DOTA_ASSERT(!est_.empty(), "selectMask before observeQK");
-    const size_t n = est_.rows();
-    const size_t keep = std::max<size_t>(
-        1, static_cast<size_t>(std::llround(
-               cfg_.retention * static_cast<double>(n))));
+    const size_t keep = keepCount(cfg_.retention, est_.rows());
     return causal ? topkMaskCausal(est_, keep) : topkMask(est_, keep);
 }
 

@@ -35,6 +35,7 @@ evaluateDetection(TransformerClassifier &model, const SyntheticTask &task,
                 if (masks[h].empty())
                     continue; // dense head: nothing to measure
                 const size_t n = scores[h].rows();
+                // Floor rule, as OracleDetector (keepCount rounds).
                 const size_t k = std::max<size_t>(
                     1, static_cast<size_t>(
                            retention * static_cast<double>(n)));

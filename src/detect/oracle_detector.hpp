@@ -36,6 +36,7 @@ class OracleDetector : public AttentionHook
     {
         DOTA_ASSERT(!scores_.empty(), "selectMask before observeQK");
         const size_t n = scores_.rows();
+        // Floors r * n where keepCount rounds; switching moves numbers.
         const size_t keep = std::max<size_t>(
             1, static_cast<size_t>(retention_ * static_cast<double>(n)));
         return causal ? topkMaskCausal(scores_, keep)

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "common/logging.hpp"
+#include "tensor/topk.hpp"
 
 namespace dota {
 
@@ -15,12 +16,8 @@ StaticPatternDetector::selectMask(size_t, size_t, bool causal)
 {
     DOTA_ASSERT(n_ > 0, "selectMask before beginLayer");
     const size_t n = n_;
-    const size_t budget = std::max<size_t>(
-        1, static_cast<size_t>(std::llround(
-               cfg_.retention * static_cast<double>(n))));
-    const size_t globals = std::max<size_t>(
-        1, static_cast<size_t>(std::llround(
-               cfg_.global_fraction * static_cast<double>(budget))));
+    const size_t budget = keepCount(cfg_.retention, n);
+    const size_t globals = keepCount(cfg_.global_fraction, budget);
     const size_t half_window = std::max<size_t>(1, (budget - globals) / 2);
 
     // Evenly spaced global token positions.

@@ -17,17 +17,15 @@ namespace dota {
 namespace {
 
 /**
- * Keep the top max(1, round(retention * n)) of the scores s[0..n) —
- * topkRow's rule, as topkMask uses — compacting @p cols and @p s in
- * ascending key order. Returns the kept count.
+ * Keep the top keepCount(retention, n) of the scores s[0..n),
+ * compacting @p cols and @p s in ascending key order. Returns the kept
+ * count.
  */
 size_t
 keepTopK(std::vector<uint32_t> &cols, std::vector<float> &s, size_t n,
          double retention)
 {
-    const size_t keep = std::max<size_t>(
-        1, static_cast<size_t>(
-               std::llround(retention * static_cast<double>(n))));
+    const size_t keep = keepCount(retention, n);
     if (keep >= n)
         return n;
     std::vector<uint32_t> idx(keep);

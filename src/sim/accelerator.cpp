@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/topk.hpp"
+
 namespace dota {
 
 namespace {
@@ -399,11 +401,7 @@ DotaAccelerator::decoderLayer(const ModelShape &shape,
     uint64_t kept_total = 0, visible_total = 0;
     const uint64_t h_lane = ceilDiv(h, hw_.lanes);
     for (uint64_t tok = 1; tok <= n; ++tok) {
-        const uint64_t keep =
-            dense ? tok
-                  : std::max<uint64_t>(
-                        1, static_cast<uint64_t>(std::llround(
-                               retention * static_cast<double>(tok))));
+        const uint64_t keep = dense ? tok : keepCount(retention, tok);
         kept_total += keep;
         visible_total += tok;
         if (!dense) {

@@ -5,6 +5,7 @@
 #include "tensor/topk.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <numeric>
 
@@ -148,12 +149,20 @@ thresholdMask(const Matrix &scores, float threshold)
     return mask;
 }
 
+size_t
+keepCount(double fraction, size_t n)
+{
+    return std::max<size_t>(1, static_cast<size_t>(std::llround(
+                                   fraction * static_cast<double>(n))));
+}
+
 float
 thresholdForRetention(const Matrix &scores, double retention)
 {
     DOTA_ASSERT(retention > 0.0 && retention <= 1.0,
                 "retention {} out of (0, 1]", retention);
     std::vector<float> vals(scores.data(), scores.data() + scores.size());
+    // Floors r * size where keepCount rounds; switching moves thresholds.
     const auto keep = std::max<size_t>(
         1, static_cast<size_t>(retention *
                                static_cast<double>(vals.size())));

@@ -36,6 +36,12 @@ namespace dota {
  */
 size_t topkRow(const float *x, size_t n, size_t k, uint32_t *out);
 
+/**
+ * Keys a top-k selector keeps: max(1, round(@p fraction * @p n)), halves
+ * away from zero. Decode and the simulators' cost models count with it.
+ */
+size_t keepCount(double fraction, size_t n);
+
 /** Indices of the k largest entries of row @p r (ascending, topkRow). */
 std::vector<uint32_t> rowTopK(const Matrix &scores, size_t r, size_t k);
 

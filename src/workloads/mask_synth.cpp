@@ -9,6 +9,7 @@
 #include <set>
 
 #include "common/logging.hpp"
+#include "tensor/topk.hpp"
 
 namespace dota {
 
@@ -17,9 +18,7 @@ synthesizeMask(size_t n, const MaskProfile &profile, Rng &rng, bool causal)
 {
     DOTA_ASSERT(profile.retention > 0.0 && profile.retention <= 1.0,
                 "retention {} out of range", profile.retention);
-    const size_t k = std::max<size_t>(
-        1, static_cast<size_t>(std::llround(
-               profile.retention * static_cast<double>(n))));
+    const size_t k = keepCount(profile.retention, n);
 
     // Draw hub columns once, with Zipf-skewed popularity.
     std::vector<uint32_t> hubs;
