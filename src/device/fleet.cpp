@@ -5,17 +5,15 @@
 #include "device/fleet.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "common/logging.hpp"
-#include "common/thread_pool.hpp"
 #include "device/dota_device.hpp"
 
 namespace dota {
 
 FleetSimulator::FleetSimulator(FleetConfig cfg, const Benchmark &bench,
                                SimOptions opt)
-    : bench_(bench)
+    : costs_(bench)
 {
     std::vector<DeviceSpec> specs = std::move(cfg.devices);
     if (specs.empty()) {
@@ -32,112 +30,54 @@ FleetSimulator::FleetSimulator(FleetConfig cfg, const Benchmark &bench,
     for (const DeviceSpec &spec : specs) {
         DOTA_ASSERT(spec.count >= 1, "device spec needs count >= 1");
         DOTA_ASSERT(spec.speed > 0.0, "device speed must be positive");
-        const std::unique_ptr<Device> proto =
-            DeviceRegistry::create(spec.key, spec.opts);
-        for (size_t i = 0; i < spec.count; ++i) {
-            devices_.push_back(proto->clone());
-            speed_.push_back(spec.speed);
-            group_of_.push_back(groups_);
-        }
-        ++groups_;
+        const size_t group =
+            costs_.addGroup(DeviceRegistry::create(spec.key, spec.opts));
+        group_of_.resize(group_of_.size() + spec.count, group);
+        speed_.resize(speed_.size() + spec.count, spec.speed);
     }
-    DOTA_ASSERT(!devices_.empty(), "fleet needs at least one "
-                                   "accelerator");
+    DOTA_ASSERT(!group_of_.empty(), "fleet needs at least one "
+                                    "accelerator");
 }
 
 FleetSimulator::FleetSimulator(
     std::vector<std::unique_ptr<Device>> devices, const Benchmark &bench)
-    : bench_(bench), devices_(std::move(devices))
+    : costs_(bench)
 {
-    DOTA_ASSERT(!devices_.empty(), "fleet needs at least one "
-                                   "accelerator");
-    speed_.assign(devices_.size(), 1.0);
-    for (size_t a = 0; a < devices_.size(); ++a)
-        group_of_.push_back(a);
-    groups_ = devices_.size();
-}
-
-FleetSimulator::Cost
-FleetSimulator::groupCost(size_t group, size_t seq_len) const
-{
-    const std::pair<size_t, size_t> key{group, seq_len};
-    {
-        std::lock_guard<std::mutex> lk(cache_mu_);
-        auto it = cost_cache_.find(key);
-        if (it != cost_cache_.end())
-            return it->second;
-    }
-    Benchmark b = bench_;
-    b.paper_shape.seq_len = seq_len;
-    // Any accelerator of the group computes the same cost.
-    const auto rep = static_cast<size_t>(
-        std::find(group_of_.begin(), group_of_.end(), group) -
-        group_of_.begin());
-    const RunReport r = devices_[rep]->simulate(b);
-    const Cost cost{r.timeMs(), r.totalEnergyJ()};
-    std::lock_guard<std::mutex> lk(cache_mu_);
-    cost_cache_[key] = cost;
-    return cost;
+    DOTA_ASSERT(!devices.empty(), "fleet needs at least one "
+                                  "accelerator");
+    for (auto &dev : devices)
+        group_of_.push_back(costs_.addGroup(std::move(dev)));
+    speed_.assign(group_of_.size(), 1.0);
 }
 
 double
 FleetSimulator::sequenceLatencyMs(size_t seq_len, size_t accel) const
 {
-    return groupCost(group_of_[accel], seq_len).ms / speed_[accel];
+    return costs_.cost(group_of_[accel], 0, seq_len).ms / speed_[accel];
 }
 
 double
 FleetSimulator::sequenceEnergyJ(size_t seq_len, size_t accel) const
 {
-    return groupCost(group_of_[accel], seq_len).energy_j;
+    return costs_.cost(group_of_[accel], 0, seq_len).energy_j;
 }
 
 void
 FleetSimulator::warmLatencyCache(
     const std::vector<size_t> &seq_lens) const
 {
-    std::vector<std::pair<size_t, size_t>> missing;
-    {
-        const std::set<size_t> distinct(seq_lens.begin(),
-                                        seq_lens.end());
-        std::lock_guard<std::mutex> lk(cache_mu_);
-        for (size_t g = 0; g < groups_; ++g)
-            for (size_t n : distinct)
-                if (!cost_cache_.count({g, n}))
-                    missing.push_back({g, n});
-    }
-    if (missing.empty())
-        return;
-    // Each distinct (device, length) pair is an independent simulation;
-    // results land in a fixed-index array, then merge under the lock in
-    // deterministic order.
-    std::vector<Cost> costs(missing.size());
-    std::vector<size_t> rep_of(groups_);
-    for (size_t a = devices_.size(); a-- > 0;)
-        rep_of[group_of_[a]] = a;
-    parallelFor(0, missing.size(), 1, [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) {
-            Benchmark b = bench_;
-            b.paper_shape.seq_len = missing[i].second;
-            const RunReport r =
-                devices_[rep_of[missing[i].first]]->simulate(b);
-            costs[i] = Cost{r.timeMs(), r.totalEnergyJ()};
-        }
-    });
-    std::lock_guard<std::mutex> lk(cache_mu_);
-    for (size_t i = 0; i < missing.size(); ++i)
-        cost_cache_[missing[i]] = costs[i];
+    costs_.warm(seq_lens);
 }
 
 FleetReport
 FleetSimulator::run(const std::vector<size_t> &seq_lens) const
 {
-    const size_t n_accel = devices_.size();
+    const size_t n_accel = size();
     FleetReport report;
     report.accel_busy_ms.assign(n_accel, 0.0);
     report.accel_device.reserve(n_accel);
-    for (const auto &dev : devices_)
-        report.accel_device.push_back(dev->name());
+    for (size_t a = 0; a < n_accel; ++a)
+        report.accel_device.push_back(device(a).name());
     if (seq_lens.empty())
         return report;
 
@@ -171,10 +111,10 @@ FleetSimulator::run(const std::vector<size_t> &seq_lens) const
         return a < b;
     });
 
-    // Phase 1 (serial): greedy earliest-completion-time assignment. The
-    // running busy totals drive every target choice, so this stays
-    // sequential. On identical devices this picks the least-busy
-    // accelerator, i.e. the classic earliest-available rule.
+    // Greedy earliest-completion-time assignment. The running busy
+    // totals drive every target choice, so this stays sequential. On
+    // identical devices this picks the least-busy accelerator, i.e. the
+    // classic earliest-available rule.
     std::vector<std::vector<double>> assigned(n_accel);
     std::vector<double> busy(n_accel, 0.0);
     for (size_t idx : order) {
@@ -194,30 +134,17 @@ FleetSimulator::run(const std::vector<size_t> &seq_lens) const
             sequenceEnergyJ(seq_lens[idx], target);
     }
 
-    // Phase 2 (parallel): per-accelerator completion timelines — once
-    // jobs are assigned each accelerator's prefix sums are independent.
-    std::vector<std::vector<double>> completion(n_accel);
-    parallelFor(0, n_accel, 1, [&](size_t lo, size_t hi) {
-        for (size_t a = lo; a < hi; ++a) {
-            completion[a].reserve(assigned[a].size());
-            double t = 0.0;
-            for (double svc : assigned[a]) {
-                t += svc;
-                completion[a].push_back(t);
-            }
-        }
-    });
-
-    // Phase 3 (serial, fixed accelerator order): merge the statistics.
+    // Completion timelines, merged in a fixed accelerator order.
     double latency_sum = 0.0;
     for (size_t a = 0; a < n_accel; ++a) {
-        report.accel_busy_ms[a] =
-            completion[a].empty() ? 0.0 : completion[a].back();
-        for (double done : completion[a]) {
+        double done = 0.0;
+        for (double svc : assigned[a]) {
+            done += svc;
             latency_sum += done;
             report.latency.sample(done);
             report.max_latency_ms = std::max(report.max_latency_ms, done);
         }
+        report.accel_busy_ms[a] = done;
     }
     report.makespan_ms = *std::max_element(report.accel_busy_ms.begin(),
                                            report.accel_busy_ms.end());

@@ -12,20 +12,16 @@
  * greedy earliest-completion-time scheduling, and reports makespan,
  * latency distribution, energy and per-accelerator utilization.
  * Per-length single-sequence costs come from each device's own
- * simulate() (cached per distinct (device, length) pair).
+ * simulate(), cached per (device group, length) in a CostCache.
  *
- * run() itself is parallel (common/thread_pool.hpp, DOTA_THREADS): the
- * per-(device, length) cost evaluations and the per-accelerator
- * completion timelines are computed concurrently, while job-to-device
- * assignment and the final statistics merge stay serial in a fixed
- * order, so a dispatch is bit-identical at every thread count.
+ * run() evaluates the missing costs in parallel (DOTA_THREADS), while
+ * job-to-device assignment and the statistics merge stay serial in a
+ * fixed order, so a dispatch is bit-identical at every thread count.
  */
 #pragma once
 
-#include <map>
-#include <mutex>
-
 #include "common/stats.hpp"
+#include "device/cost_cache.hpp"
 #include "device/registry.hpp"
 
 namespace dota {
@@ -119,32 +115,25 @@ class FleetSimulator
      */
     FleetReport run(const std::vector<size_t> &seq_lens) const;
 
-    size_t size() const { return devices_.size(); }
-    const Device &device(size_t accel) const { return *devices_[accel]; }
+    size_t size() const { return group_of_.size(); }
+
+    const Device &
+    device(size_t accel) const
+    {
+        return costs_.device(group_of_[accel], 0);
+    }
+
     double speed(size_t accel) const { return speed_[accel]; }
 
   private:
-    /** Unscaled cost of one sequence on one cache group. */
-    struct Cost
-    {
-        double ms = 0.0;
-        double energy_j = 0.0;
-    };
-
-    Cost groupCost(size_t group, size_t seq_len) const;
-
-    Benchmark bench_;
-    std::vector<std::unique_ptr<Device>> devices_;
     std::vector<double> speed_;
     /**
-     * Accelerator -> latency-cache group. Clones of one DeviceSpec share
-     * a group (identical device => identical per-length costs); devices
-     * injected directly each get their own.
+     * Accelerator -> device group. The accelerators of one DeviceSpec
+     * share a group (identical device => identical per-length costs);
+     * devices injected directly each get their own.
      */
     std::vector<size_t> group_of_;
-    size_t groups_ = 0;
-    mutable std::mutex cache_mu_;
-    mutable std::map<std::pair<size_t, size_t>, Cost> cost_cache_;
+    CostCache costs_;
 };
 
 } // namespace dota
