@@ -22,6 +22,10 @@
  * queue pressure deeper ladder levels now shrink KV footprints as well
  * as service time. Only DOTA slots evict (a GPU slot has no detector).
  *
+ * A run is one EngineRun (engine.cpp) with one handler per event type,
+ * on the ServeLoop skeleton it shares with ServingSimulator::run
+ * (serve_loop.hpp).
+ *
  * Determinism contract: one serial virtual-time event loop; service
  * costs come from the device cost cache and a per-(group, level)
  * linear per-token decode model calibrated from two probe lengths —
@@ -171,8 +175,12 @@ struct EngineConfig
     DotaMode mode = DotaMode::Full;
     DeviceOptions options = DeviceOptions::table2();
 
-    /** queue_limit and degrade_depth_* are honored; the retry/breaker
-     * knobs only apply to the fault-injecting ServingSimulator. */
+    /**
+     * Honored: queue_limit, degradation and degrade_depth_*, max_retries
+     * (the restart cap of chaos victims) and both breaker knobs.
+     * Ignored: timeout_ms, backoff_ms, backoff_cap_ms and
+     * max_queue_age_ms, which only the ServingSimulator uses.
+     */
     ServePolicy policy;
 
     BatchPolicy batch;
