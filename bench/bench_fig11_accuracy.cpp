@@ -15,7 +15,6 @@
 
 #include "bench_util.hpp"
 #include "core/dota.hpp"
-#include "nn/loss.hpp"
 
 using namespace dota;
 
@@ -30,53 +29,6 @@ calibFeatures(const SyntheticTask &task, size_t n)
     for (size_t i = 0; i < n; ++i)
         out.push_back(task.sample(rng).features);
     return out;
-}
-
-/**
- * ClassifierTrainer::evaluate replicated on the int8 path: identical
- * eval stream (seed 4242), int8Forward instead of model.forward — so
- * the int8 column is the same samples scored by the quantized model.
- */
-EvalResult
-int8Evaluate(TransformerClassifier &model, const Int8Plan &plan,
-             const SyntheticTask &task, size_t samples)
-{
-    Rng eval_rng(4242);
-    size_t hits = 0;
-    double loss_sum = 0.0;
-    for (size_t i = 0; i < samples; ++i) {
-        const Sample s = task.sample(eval_rng);
-        const Matrix logits = int8Forward(model, plan, s.features);
-        Matrix dlogits;
-        loss_sum += softmaxCrossEntropy(logits, {s.label}, dlogits);
-        hits += rowArgmax(logits)[0] == s.label;
-    }
-    EvalResult res;
-    res.metric = static_cast<double>(hits) / static_cast<double>(samples);
-    res.loss = loss_sum / static_cast<double>(samples);
-    return res;
-}
-
-/** LMTrainer::evaluate replicated on the int8 path (same stream). */
-EvalResult
-int8EvaluateLM(CausalLM &model, const Int8Plan &plan,
-               const SyntheticGrammar &grammar, size_t samples)
-{
-    Rng eval_rng(4242);
-    double loss_sum = 0.0;
-    for (size_t i = 0; i < samples; ++i) {
-        const std::vector<int> ids = grammar.sample(eval_rng);
-        const Matrix logits = int8Forward(model, plan, ids);
-        std::vector<int> targets(ids.size(), -1);
-        for (size_t t = 0; t + 1 < ids.size(); ++t)
-            targets[t] = ids[t + 1];
-        Matrix dlogits;
-        loss_sum += softmaxCrossEntropy(logits, targets, dlogits);
-    }
-    EvalResult res;
-    res.loss = loss_sum / static_cast<double>(samples);
-    res.metric = perplexityFromLoss(res.loss);
-    return res;
 }
 
 // Proxy task construction lives in workloads/benchmark.cpp
@@ -128,8 +80,12 @@ runClassificationBenchmark(const Benchmark &b)
     const std::vector<Matrix> calib = calibFeatures(task, 8);
     const Int8Plan dense_plan = quantizeClassifier(
         dense_model, calibrateClassifier(dense_model, calib));
-    const EvalResult dense_i8 =
-        int8Evaluate(dense_model, dense_plan, task, eval_n);
+    const EvalResult dense_i8 = evaluate(
+        task,
+        [&](const Matrix &x) {
+            return int8Forward(dense_model, dense_plan, x);
+        },
+        eval_n);
 
     Table t(format("{} — {}", b.name, b.description));
     t.header({"retention", "dense", "dense-int8", "DOTA", "DOTA-int8",
@@ -140,18 +96,10 @@ runClassificationBenchmark(const Benchmark &b)
         TransformerClassifier model(b.tiny);
         copyParams(dense_model, model);
         DotaDetector det(b.tiny, detectorFor(b, r));
-        warmupDetector(model, task, det, pc.warmup_steps,
-                       pc.warmup_batch, pc.warmup_lr);
-        det.config().apply_mask = true;
-        det.config().train = true;
-        model.setHook(&det);
-        ClassifierTrainer joint(model, task, pc.adapt);
-        std::vector<Parameter *> dps;
-        det.collectParams(dps);
-        joint.addExtraParams(dps);
-        joint.train();
-        det.config().train = false;
-        const EvalResult dota = joint.evaluate(eval_n);
+        warmupAndAdapt(model, task, det, pc);
+        const EvalResult dota = evaluate(
+            task, [&](const Matrix &x) { return model.forward(x); },
+            eval_n);
 
         // DOTA-int8: the jointly-adapted model quantized, with the
         // trained detector still gating the integer softmax (hooks are
@@ -159,8 +107,10 @@ runClassificationBenchmark(const Benchmark &b)
         // fp32 ranges: it never consults the installed detector.
         const Int8Plan dota_plan = quantizeClassifier(
             model, calibrateClassifier(model, calib));
-        const EvalResult dota_i8 =
-            int8Evaluate(model, dota_plan, task, eval_n);
+        const EvalResult dota_i8 = evaluate(
+            task,
+            [&](const Matrix &x) { return int8Forward(model, dota_plan, x); },
+            eval_n);
         model.setHook(nullptr);
 
         // Training-free baselines on the dense model at equal
@@ -233,8 +183,12 @@ runLmBenchmark(const Benchmark &b)
     }
     const Int8Plan dense_plan =
         quantizeLM(dense_model, calibrateLM(dense_model, lm_calib));
-    const EvalResult dense_i8 =
-        int8EvaluateLM(dense_model, dense_plan, grammar, eval_n);
+    const EvalResult dense_i8 = evaluate(
+        grammar,
+        [&](const std::vector<int> &ids) {
+            return int8Forward(dense_model, dense_plan, ids);
+        },
+        eval_n);
 
     Table t(format("{} — {} (perplexity, lower is better)", b.name,
                    b.description));
@@ -244,25 +198,22 @@ runLmBenchmark(const Benchmark &b)
         CausalLM model(cfg);
         copyParams(dense_model, model);
         DotaDetector det(cfg, detectorFor(b, r));
-        warmupDetectorLM(model, grammar, det, pc.warmup_steps,
-                         pc.warmup_batch, pc.warmup_lr);
-        det.config().apply_mask = true;
-        det.config().train = true;
-        model.setHook(&det);
-        LMTrainer joint(model, grammar, pc.adapt);
-        std::vector<Parameter *> dps;
-        det.collectParams(dps);
-        joint.addExtraParams(dps);
-        joint.train();
-        det.config().train = false;
-        const EvalResult dota = joint.evaluate(eval_n);
+        warmupAndAdapt(model, grammar, det, pc);
+        const EvalResult dota = evaluate(
+            grammar,
+            [&](const std::vector<int> &ids) { return model.forward(ids); },
+            eval_n);
 
         // DOTA-int8: quantize the adapted LM with the detector gating
         // the integer softmax (calibration and eval both run masked).
         const Int8Plan dota_plan =
             quantizeLM(model, calibrateLM(model, lm_calib));
-        const EvalResult dota_i8 =
-            int8EvaluateLM(model, dota_plan, grammar, eval_n);
+        const EvalResult dota_i8 = evaluate(
+            grammar,
+            [&](const std::vector<int> &ids) {
+                return int8Forward(model, dota_plan, ids);
+            },
+            eval_n);
         model.setHook(nullptr);
 
         ElsaDetectorConfig ec;
@@ -332,18 +283,18 @@ runAblations()
             det.config().threshold =
                 thresholdForRetention(det.lastEstimate(0, 0), 0.10);
         }
-        det.config().apply_mask = true;
-        det.config().train = v.joint;
-        model.setHook(&det);
-        ClassifierTrainer joint(model, task, pc.adapt);
         if (v.joint) {
-            std::vector<Parameter *> dps;
-            det.collectParams(dps);
-            joint.addExtraParams(dps);
+            adaptJointly(model, task, det, pc.adapt);
+        } else {
+            // Adapt the model alone to the frozen warmed-up detector.
+            det.config().apply_mask = true;
+            det.config().train = false;
+            model.setHook(&det);
+            ClassifierTrainer(model, task, pc.adapt).train();
         }
-        joint.train();
-        det.config().train = false;
-        const EvalResult res = joint.evaluate(eval_n);
+        const EvalResult res = evaluate(
+            task, [&](const Matrix &x) { return model.forward(x); },
+            eval_n);
         model.setHook(nullptr);
         t.addRow({v.name, fmtPct(res.metric)});
     }

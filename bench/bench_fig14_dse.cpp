@@ -22,23 +22,15 @@ namespace {
 
 /** Run warmup + joint adaptation from a shared dense model. */
 double
-adaptedAccuracy(const TransformerClassifier &, TransformerClassifier &model,
-                const SyntheticTask &task, DetectorConfig dc,
-                const PipelineConfig &pc, size_t eval_n)
+adaptedAccuracy(TransformerClassifier &model, const SyntheticTask &task,
+                DetectorConfig dc, const PipelineConfig &pc, size_t eval_n)
 {
     DotaDetector det(model.config(), dc);
-    warmupDetector(model, task, det, pc.warmup_steps, pc.warmup_batch,
-                   pc.warmup_lr);
-    det.config().apply_mask = true;
-    det.config().train = true;
-    model.setHook(&det);
-    ClassifierTrainer joint(model, task, pc.adapt);
-    std::vector<Parameter *> dps;
-    det.collectParams(dps);
-    joint.addExtraParams(dps);
-    joint.train();
-    det.config().train = false;
-    const double acc = joint.evaluate(eval_n).metric;
+    warmupAndAdapt(model, task, det, pc);
+    const double acc =
+        evaluate(task, [&](const Matrix &x) { return model.forward(x); },
+                 eval_n)
+            .metric;
     model.setHook(nullptr);
     return acc;
 }
@@ -97,8 +89,7 @@ main()
                 dc.bits = 4;
                 dc.lambda = 1e-3;
                 dc.seed = 17 + seed;
-                acc += adaptedAccuracy(dense_model, model, task, dc, pc,
-                                       eval_n);
+                acc += adaptedAccuracy(model, task, dc, pc, eval_n);
             }
             acc /= static_cast<double>(seeds);
             const size_t k = std::max<size_t>(
@@ -132,8 +123,8 @@ main()
             dc.bits = p.bits;
             dc.quantize = p.quant;
             dc.lambda = 1e-3;
-            const double acc = adaptedAccuracy(dense_model, model, task,
-                                               dc, pc, eval_n);
+            const double acc =
+                adaptedAccuracy(model, task, dc, pc, eval_n);
             t.addRow({p.name, fmtPct(acc), fmtNum(p.paper, 2)});
         }
         t.print(std::cout);

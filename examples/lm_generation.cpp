@@ -65,7 +65,7 @@ main()
     pc.pretrain.steps = 220;
     pc.adapt.steps = 120;
     std::cout << "training causal LM on the long-range copy grammar...\n";
-    const PipelineResult res = runPipelineLM(model, grammar, detector, pc);
+    const PipelineResult res = runPipeline(model, grammar, detector, pc);
     std::cout << "  dense perplexity:        " << fmtNum(res.dense.metric, 2)
               << "\n  DOTA @25% perplexity:    "
               << fmtNum(res.sparse.metric, 2) << "\n\n";

@@ -1,8 +1,10 @@
 /**
  * @file
- * Implementation of the training recipes.
+ * Implementation of the training recipes, one body for both model kinds.
  */
 #include "detect/pipeline.hpp"
+
+#include <type_traits>
 
 namespace dota {
 
@@ -19,41 +21,25 @@ detectorOptimizer(DotaDetector &detector, double lr)
     return Adam(std::move(params), cfg);
 }
 
-} // namespace
-
-double
-warmupDetector(TransformerClassifier &model, const SyntheticTask &task,
-               DotaDetector &detector, size_t steps, size_t batch,
-               double lr, uint64_t seed)
+/** What a model reads of a drawn sample: features, or the token ids. */
+const Matrix &
+modelInput(const Sample &s)
 {
-    const bool saved_apply = detector.config().apply_mask;
-    const bool saved_train = detector.config().train;
-    detector.config().apply_mask = false;
-    detector.config().train = true;
-    model.setHook(&detector);
-
-    Adam opt = detectorOptimizer(detector, lr);
-    Rng rng(seed);
-    double last = 0.0;
-    for (size_t step = 0; step < steps; ++step) {
-        opt.zeroGrad();
-        detector.consumeMseLoss();
-        for (size_t b = 0; b < batch; ++b)
-            model.forward(task.sample(rng).features); // grads at forward
-        opt.step();
-        last = detector.consumeMseLoss();
-    }
-
-    detector.config().apply_mask = saved_apply;
-    detector.config().train = saved_train;
-    model.setHook(nullptr);
-    return last;
+    return s.features;
 }
 
+const std::vector<int> &
+modelInput(const std::vector<int> &ids)
+{
+    return ids;
+}
+
+} // namespace
+
+template <class Model, class Data>
 double
-warmupDetectorLM(CausalLM &model, const SyntheticGrammar &grammar,
-                 DotaDetector &detector, size_t steps, size_t batch,
-                 double lr, uint64_t seed)
+warmupDetector(Model &model, const Data &data, DotaDetector &detector,
+               size_t steps, size_t batch, double lr, uint64_t seed)
 {
     const bool saved_apply = detector.config().apply_mask;
     const bool saved_train = detector.config().train;
@@ -68,7 +54,7 @@ warmupDetectorLM(CausalLM &model, const SyntheticGrammar &grammar,
         opt.zeroGrad();
         detector.consumeMseLoss();
         for (size_t b = 0; b < batch; ++b)
-            model.forward(grammar.sample(rng));
+            model.forward(modelInput(data.sample(rng))); // grads at forward
         opt.step();
         last = detector.consumeMseLoss();
     }
@@ -118,68 +104,66 @@ calibrateThreshold(TransformerClassifier &model, const SyntheticTask &task,
     return threshold;
 }
 
-PipelineResult
-runPipeline(TransformerClassifier &model, const SyntheticTask &task,
-            DotaDetector &detector, const PipelineConfig &cfg)
+template <class Model, class Data>
+double
+adaptJointly(Model &model, const Data &data, DotaDetector &detector,
+             const TrainConfig &cfg)
 {
-    PipelineResult res;
-
-    // Phase 1: dense pre-training.
-    ClassifierTrainer pre(model, task, cfg.pretrain);
-    pre.train();
-    res.dense = pre.evaluate(200);
-
-    // Phase 2: detector warmup against the frozen model.
-    warmupDetector(model, task, detector, cfg.warmup_steps,
-                   cfg.warmup_batch, cfg.warmup_lr);
-
-    // Phase 3: joint adaptation with omission enabled.
     detector.config().apply_mask = true;
     detector.config().train = true;
     model.setHook(&detector);
-    ClassifierTrainer joint(model, task, cfg.adapt);
+    Trainer<Model, Data> joint(model, data, cfg);
     std::vector<Parameter *> det_params;
     detector.collectParams(det_params);
     joint.addExtraParams(det_params);
     joint.train();
-    res.detector_mse = detector.consumeMseLoss();
+    const double mse = detector.consumeMseLoss();
 
     // Inference configuration: mask on, training off, hook installed.
     // With training off the detector reports wantsFullScores() == false,
-    // so these evaluation forwards run the sparse attention kernels —
-    // scores are computed only at detector-kept coordinates.
+    // so later forwards run the sparse attention kernels — scores are
+    // computed only at detector-kept coordinates.
     detector.config().train = false;
-    res.sparse = joint.evaluate(200);
-    return res;
+    return mse;
 }
 
-PipelineResult
-runPipelineLM(CausalLM &model, const SyntheticGrammar &grammar,
-              DotaDetector &detector, const PipelineConfig &cfg)
+template <class Model, class Data>
+double
+warmupAndAdapt(Model &model, const Data &data, DotaDetector &detector,
+               const PipelineConfig &cfg)
 {
+    warmupDetector(model, data, detector, cfg.warmup_steps,
+                   cfg.warmup_batch, cfg.warmup_lr);
+    return adaptJointly(model, data, detector, cfg.adapt);
+}
+
+template <class Model, class Data>
+PipelineResult
+runPipeline(Model &model, const Data &data, DotaDetector &detector,
+            const PipelineConfig &cfg)
+{
+    const size_t eval_n = std::is_same_v<Model, CausalLM> ? 50 : 200;
     PipelineResult res;
-
-    LMTrainer pre(model, grammar, cfg.pretrain);
+    Trainer<Model, Data> pre(model, data, cfg.pretrain);
     pre.train();
-    res.dense = pre.evaluate(50);
-
-    warmupDetectorLM(model, grammar, detector, cfg.warmup_steps,
-                     cfg.warmup_batch, cfg.warmup_lr);
-
-    detector.config().apply_mask = true;
-    detector.config().train = true;
-    model.setHook(&detector);
-    LMTrainer joint(model, grammar, cfg.adapt);
-    std::vector<Parameter *> det_params;
-    detector.collectParams(det_params);
-    joint.addExtraParams(det_params);
-    joint.train();
-    res.detector_mse = detector.consumeMseLoss();
-
-    // Sparse-kernel inference evaluation, as in runPipeline above.
-    detector.config().train = false;
-    res.sparse = joint.evaluate(50);
+    res.dense = pre.evaluate(eval_n);
+    res.detector_mse = warmupAndAdapt(model, data, detector, cfg);
+    res.sparse = pre.evaluate(eval_n); // same model, now omitting
     return res;
 }
+
+#define DOTA_PIPELINE_KIND(Model, Data)                                      \
+    template double warmupDetector(Model &, const Data &, DotaDetector &,  \
+                                   size_t, size_t, double, uint64_t);      \
+    template double adaptJointly(Model &, const Data &, DotaDetector &,    \
+                                 const TrainConfig &);                     \
+    template double warmupAndAdapt(Model &, const Data &, DotaDetector &,  \
+                                   const PipelineConfig &);                \
+    template PipelineResult runPipeline(Model &, const Data &,             \
+                                        DotaDetector &,                    \
+                                        const PipelineConfig &);
+DOTA_PIPELINE_KIND(TransformerClassifier, SyntheticTask)
+DOTA_PIPELINE_KIND(CausalLM, SyntheticGrammar)
+#undef DOTA_PIPELINE_KIND
 
 } // namespace dota

@@ -84,6 +84,15 @@ accuracy(const Matrix &logits, const std::vector<int> &labels)
     return counted ? static_cast<double>(hit) / counted : 0.0;
 }
 
+std::vector<int>
+nextTokenLabels(const std::vector<int> &ids)
+{
+    std::vector<int> labels(ids.size(), -1);
+    for (size_t i = 0; i + 1 < ids.size(); ++i)
+        labels[i] = ids[i + 1];
+    return labels;
+}
+
 double
 perplexityFromLoss(double mean_ce)
 {

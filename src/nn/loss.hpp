@@ -23,6 +23,12 @@ namespace dota {
 double softmaxCrossEntropy(const Matrix &logits,
                            const std::vector<int> &labels, Matrix &dlogits);
 
+/**
+ * Language-model labels of @p ids for softmaxCrossEntropy: position i
+ * predicts token i+1, and the last position is ignored (-1).
+ */
+std::vector<int> nextTokenLabels(const std::vector<int> &ids);
+
 /** Argmax of each row. */
 std::vector<int> rowArgmax(const Matrix &logits);
 

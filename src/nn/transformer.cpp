@@ -6,16 +6,45 @@
 
 namespace dota {
 
+void
+TransformerStack::buildBlocks(const char *prefix, bool causal)
+{
+    blocks_.reserve(cfg_.layers);
+    for (size_t l = 0; l < cfg_.layers; ++l)
+        blocks_.push_back(std::make_unique<EncoderBlock>(
+            format("{}{}", prefix, l), l, cfg_.dim, cfg_.heads,
+            cfg_.ffn_dim, init_rng_, cfg_.act, causal));
+}
+
+void
+TransformerStack::setHook(AttentionHook *hook)
+{
+    for (auto &blk : blocks_)
+        blk->attention().setHook(hook);
+}
+
+void
+TransformerStack::setForceDense(bool force)
+{
+    for (auto &blk : blocks_)
+        blk->attention().setForceDense(force);
+}
+
+bool
+TransformerStack::hasHook() const
+{
+    for (const auto &blk : blocks_)
+        if (blk->attention().hook())
+            return true;
+    return false;
+}
+
 TransformerClassifier::TransformerClassifier(const TransformerConfig &cfg)
-    : cfg_(cfg), init_rng_(cfg.seed),
+    : TransformerStack(cfg),
       input_("input", cfg.in_dim, cfg.dim, init_rng_),
       head_("head", cfg.dim, cfg.classes, init_rng_)
 {
-    blocks_.reserve(cfg.layers);
-    for (size_t l = 0; l < cfg.layers; ++l)
-        blocks_.push_back(std::make_unique<EncoderBlock>(
-            format("enc{}", l), l, cfg.dim, cfg.heads, cfg.ffn_dim,
-            init_rng_, cfg.act, /*causal=*/false));
+    buildBlocks("enc", /*causal=*/false);
 }
 
 Matrix
@@ -44,29 +73,6 @@ TransformerClassifier::backward(const Matrix &dlogits)
 }
 
 void
-TransformerClassifier::setHook(AttentionHook *hook)
-{
-    for (auto &blk : blocks_)
-        blk->attention().setHook(hook);
-}
-
-void
-TransformerClassifier::setForceDense(bool force)
-{
-    for (auto &blk : blocks_)
-        blk->attention().setForceDense(force);
-}
-
-bool
-TransformerClassifier::hasHook() const
-{
-    for (const auto &blk : blocks_)
-        if (blk->attention().hook())
-            return true;
-    return false;
-}
-
-void
 TransformerClassifier::collectParams(std::vector<Parameter *> &out)
 {
     input_.collectParams(out);
@@ -76,17 +82,12 @@ TransformerClassifier::collectParams(std::vector<Parameter *> &out)
 }
 
 CausalLM::CausalLM(const TransformerConfig &cfg)
-    : cfg_(cfg), init_rng_(cfg.seed),
-      tok_("tok", cfg.vocab, cfg.dim, init_rng_),
+    : TransformerStack(cfg), tok_("tok", cfg.vocab, cfg.dim, init_rng_),
       pos_("pos", Matrix::randomNormal(cfg.max_seq, cfg.dim, init_rng_,
                                        0.0f, 0.02f)),
       head_("lm_head", cfg.dim, cfg.vocab, init_rng_, /*bias=*/false)
 {
-    blocks_.reserve(cfg.layers);
-    for (size_t l = 0; l < cfg.layers; ++l)
-        blocks_.push_back(std::make_unique<EncoderBlock>(
-            format("dec{}", l), l, cfg.dim, cfg.heads, cfg.ffn_dim,
-            init_rng_, cfg.act, /*causal=*/true));
+    buildBlocks("dec", /*causal=*/true);
 }
 
 Matrix
@@ -128,38 +129,12 @@ double
 CausalLM::lmLoss(const std::vector<int> &ids, bool train)
 {
     const Matrix logits = forward(ids);
-    // Position i predicts token i+1; last position is ignored.
-    std::vector<int> targets(ids.size(), -1);
-    for (size_t i = 0; i + 1 < ids.size(); ++i)
-        targets[i] = ids[i + 1];
     Matrix dlogits;
-    const double loss = softmaxCrossEntropy(logits, targets, dlogits);
+    const double loss =
+        softmaxCrossEntropy(logits, nextTokenLabels(ids), dlogits);
     if (train)
         backward(dlogits);
     return loss;
-}
-
-void
-CausalLM::setHook(AttentionHook *hook)
-{
-    for (auto &blk : blocks_)
-        blk->attention().setHook(hook);
-}
-
-void
-CausalLM::setForceDense(bool force)
-{
-    for (auto &blk : blocks_)
-        blk->attention().setForceDense(force);
-}
-
-bool
-CausalLM::hasHook() const
-{
-    for (const auto &blk : blocks_)
-        if (blk->attention().hook())
-            return true;
-    return false;
 }
 
 void

@@ -34,21 +34,14 @@ struct TransformerConfig
 };
 
 /**
- * Encoder-based sequence classifier: input projection, L encoder blocks,
- * mean pooling, linear head. Inputs are continuous token feature vectors
- * (the synthetic workloads emit these directly).
+ * What both models share: the shape, the weight-init stream, the block
+ * stack and the attention controls that act on every block. Each model
+ * draws its own layers from init_rng_ first and then calls buildBlocks(),
+ * so its RNG draw order — and so every initial weight — is its own.
  */
-class TransformerClassifier : public Module
+class TransformerStack : public Module
 {
   public:
-    explicit TransformerClassifier(const TransformerConfig &cfg);
-
-    /** Forward over (n x in_dim) features; returns logits (1 x classes). */
-    Matrix forward(const Matrix &features);
-
-    /** Backward from dL/dlogits (1 x classes). */
-    void backward(const Matrix &dlogits);
-
     /** Install an attention hook into every block. */
     void setHook(AttentionHook *hook);
 
@@ -66,22 +59,48 @@ class TransformerClassifier : public Module
      */
     bool hasHook() const;
 
-    void collectParams(std::vector<Parameter *> &out) override;
-
     const TransformerConfig &config() const { return cfg_; }
     std::vector<std::unique_ptr<EncoderBlock>> &blocks() { return blocks_; }
+
+  protected:
+    explicit TransformerStack(const TransformerConfig &cfg)
+        : cfg_(cfg), init_rng_(cfg.seed)
+    {}
+
+    /** Append cfg.layers blocks named "<prefix><l>", drawn from init_rng_. */
+    void buildBlocks(const char *prefix, bool causal);
+
+    TransformerConfig cfg_;
+    Rng init_rng_;
+    std::vector<std::unique_ptr<EncoderBlock>> blocks_;
+    size_t last_n_ = 0; ///< sequence length of the last forward
+};
+
+/**
+ * Encoder-based sequence classifier: input projection, L encoder blocks,
+ * mean pooling, linear head. Inputs are continuous token feature vectors
+ * (the synthetic workloads emit these directly).
+ */
+class TransformerClassifier : public TransformerStack
+{
+  public:
+    explicit TransformerClassifier(const TransformerConfig &cfg);
+
+    /** Forward over (n x in_dim) features; returns logits (1 x classes). */
+    Matrix forward(const Matrix &features);
+
+    /** Backward from dL/dlogits (1 x classes). */
+    void backward(const Matrix &dlogits);
+
+    void collectParams(std::vector<Parameter *> &out) override;
 
     /** Accessors for the int8 inference path (nn/int8_infer.hpp). */
     LinearLayer &inputLayer() { return input_; }
     LinearLayer &headLayer() { return head_; }
 
   private:
-    TransformerConfig cfg_;
-    Rng init_rng_;
     LinearLayer input_;
-    std::vector<std::unique_ptr<EncoderBlock>> blocks_;
     LinearLayer head_;
-    size_t last_n_ = 0;
 };
 
 /**
@@ -89,7 +108,7 @@ class TransformerClassifier : public Module
  * embeddings, L causal blocks, tied-free output head. Perplexity on a
  * synthetic grammar stands in for WikiText-103 (see DESIGN.md).
  */
-class CausalLM : public Module
+class CausalLM : public TransformerStack
 {
   public:
     explicit CausalLM(const TransformerConfig &cfg);
@@ -106,18 +125,7 @@ class CausalLM : public Module
      */
     double lmLoss(const std::vector<int> &ids, bool train);
 
-    void setHook(AttentionHook *hook);
-
-    /** Force dense attention in every block (see above). */
-    void setForceDense(bool force);
-
-    /** True when any block carries an attention hook (see above). */
-    bool hasHook() const;
-
     void collectParams(std::vector<Parameter *> &out) override;
-
-    const TransformerConfig &config() const { return cfg_; }
-    std::vector<std::unique_ptr<EncoderBlock>> &blocks() { return blocks_; }
 
     /**
      * Token + learned position embedding of @p ids placed at positions
@@ -132,13 +140,9 @@ class CausalLM : public Module
     LinearLayer &lmHead() { return head_; }
 
   private:
-    TransformerConfig cfg_;
-    Rng init_rng_;
     EmbeddingLayer tok_;
     Parameter pos_; ///< max_seq x dim learned positional table
-    std::vector<std::unique_ptr<EncoderBlock>> blocks_;
     LinearLayer head_;
-    size_t last_n_ = 0;
 };
 
 } // namespace dota

@@ -1,6 +1,6 @@
 /**
  * @file
- * Implementation of the training loops.
+ * Implementation of the training and evaluation loops.
  *
  * The batch loop is data-parallel over weight-synchronized replicas with
  * a determinism contract (see trainer.hpp): every sample's gradient is
@@ -12,7 +12,6 @@
 
 #include <memory>
 
-#include "common/logging.hpp"
 #include "common/thread_pool.hpp"
 
 namespace dota {
@@ -61,25 +60,85 @@ accumulateGrads(const std::vector<Parameter *> &params,
     }
 }
 
+/** A classifier sample's loss, its gradients left in @p m. */
+double
+trainLoss(TransformerClassifier &m, const Sample &s)
+{
+    const Matrix logits = m.forward(s.features);
+    Matrix dlogits;
+    const double loss = softmaxCrossEntropy(logits, {s.label}, dlogits);
+    m.backward(dlogits);
+    return loss;
+}
+
+/** An LM sequence's loss, its gradients left in @p m. */
+double
+trainLoss(CausalLM &m, const std::vector<int> &ids)
+{
+    return m.lmLoss(ids, /*train=*/true);
+}
+
 } // namespace
 
-ClassifierTrainer::ClassifierTrainer(TransformerClassifier &model,
-                                     const SyntheticTask &task,
-                                     TrainConfig cfg)
-    : model_(model), task_(task), cfg_(cfg)
+EvalResult
+evaluate(const SyntheticTask &task,
+         const std::function<Matrix(const Matrix &)> &forward,
+         size_t samples, uint64_t seed)
+{
+    Rng eval_rng(seed);
+    size_t hits = 0;
+    double loss_sum = 0.0;
+    for (size_t i = 0; i < samples; ++i) {
+        const Sample s = task.sample(eval_rng);
+        const Matrix logits = forward(s.features);
+        Matrix dlogits;
+        loss_sum += softmaxCrossEntropy(logits, {s.label}, dlogits);
+        hits += rowArgmax(logits)[0] == s.label;
+    }
+    EvalResult res;
+    res.metric = static_cast<double>(hits) / static_cast<double>(samples);
+    res.loss = loss_sum / static_cast<double>(samples);
+    return res;
+}
+
+EvalResult
+evaluate(const SyntheticGrammar &grammar,
+         const std::function<Matrix(const std::vector<int> &)> &forward,
+         size_t samples, uint64_t seed)
+{
+    Rng eval_rng(seed);
+    double loss_sum = 0.0;
+    for (size_t i = 0; i < samples; ++i) {
+        const std::vector<int> ids = grammar.sample(eval_rng);
+        Matrix dlogits;
+        loss_sum += softmaxCrossEntropy(forward(ids), nextTokenLabels(ids),
+                                        dlogits);
+    }
+    EvalResult res;
+    res.loss = loss_sum / static_cast<double>(samples);
+    res.metric = perplexityFromLoss(res.loss);
+    return res;
+}
+
+template <class Model, class Data>
+Trainer<Model, Data>::Trainer(Model &model, const Data &data,
+                              TrainConfig cfg)
+    : model_(model), data_(data), cfg_(cfg)
 {
     model_.collectParams(params_);
     model_param_count_ = params_.size();
 }
 
+template <class Model, class Data>
 void
-ClassifierTrainer::addExtraParams(const std::vector<Parameter *> &params)
+Trainer<Model, Data>::addExtraParams(const std::vector<Parameter *> &params)
 {
     params_.insert(params_.end(), params.begin(), params.end());
 }
 
+template <class Model, class Data>
 double
-ClassifierTrainer::train()
+Trainer<Model, Data>::train()
 {
     // Backward needs the S/A only the dense path caches, also when an
     // inference-only hook is installed.
@@ -105,40 +164,34 @@ ClassifierTrainer::train()
                             !model_.hasHook() && cfg_.batch > 1;
     const size_t slots =
         replicable ? ThreadPool::globalConcurrency() : 1;
-    std::vector<std::unique_ptr<TransformerClassifier>> replicas;
+    std::vector<std::unique_ptr<Model>> replicas;
     std::vector<std::vector<Parameter *>> replica_params;
     for (size_t s = 1; s < slots; ++s) {
-        replicas.push_back(
-            std::make_unique<TransformerClassifier>(model_.config()));
+        replicas.push_back(std::make_unique<Model>(model_.config()));
         replicas.back()->setForceDense(true);
         replica_params.emplace_back();
         replicas.back()->collectParams(replica_params.back());
     }
 
     double last_loss = loss_history_.empty() ? 0.0 : loss_history_.back();
-    std::vector<Sample> batch(cfg_.batch);
+    std::vector<decltype(data_.sample(data_rng))> batch(cfg_.batch);
     std::vector<std::vector<Matrix>> sample_grads(cfg_.batch);
     std::vector<double> sample_loss(cfg_.batch, 0.0);
     for (size_t step = start_step; step < cfg_.steps; ++step) {
         // Draw the whole batch serially: the data stream is identical to
         // the historical one for every thread count.
         for (size_t b = 0; b < cfg_.batch; ++b)
-            batch[b] = task_.sample(data_rng);
+            batch[b] = data_.sample(data_rng);
         for (auto &rep : replicas)
             copyParams(model_, *rep);
         auto runRange = [&](size_t b0, size_t b1) {
             const int slot = ThreadPool::slot();
-            TransformerClassifier *m =
-                slot == 0 ? &model_ : replicas[slot - 1].get();
+            Model *m = slot == 0 ? &model_ : replicas[slot - 1].get();
             const std::vector<Parameter *> &ps =
                 slot == 0 ? params_ : replica_params[slot - 1];
             for (size_t b = b0; b < b1; ++b) {
                 zeroGrads(ps);
-                const Matrix logits = m->forward(batch[b].features);
-                Matrix dlogits;
-                sample_loss[b] = softmaxCrossEntropy(
-                    logits, {batch[b].label}, dlogits);
-                m->backward(dlogits);
+                sample_loss[b] = trainLoss(*m, batch[b]);
                 captureGrads(ps, sample_grads[b]);
             }
         };
@@ -165,10 +218,6 @@ ClassifierTrainer::train()
             guard.afterStep(opt);
         }
         loss_history_.push_back(last_loss);
-        if (step_cb_)
-            step_cb_(step);
-        if (cfg_.verbose && (step + 1) % cfg_.log_every == 0)
-            inform("step {}/{} loss {}", step + 1, cfg_.steps, last_loss);
         ckpt.onStepComplete(step + 1, params_, opt, data_rng,
                             loss_history_, guard);
         if (cfg_.halt_after_step > 0 && step + 1 >= cfg_.halt_after_step)
@@ -179,128 +228,19 @@ ClassifierTrainer::train()
     return last_loss;
 }
 
+template <class Model, class Data>
 EvalResult
-ClassifierTrainer::evaluate(size_t samples, uint64_t seed) const
+Trainer<Model, Data>::evaluate(size_t samples, uint64_t seed) const
 {
-    Rng eval_rng(seed);
-    size_t hits = 0;
-    double loss_sum = 0.0;
-    for (size_t i = 0; i < samples; ++i) {
-        const Sample s = task_.sample(eval_rng);
-        const Matrix logits = model_.forward(s.features);
-        Matrix dlogits;
-        loss_sum += softmaxCrossEntropy(logits, {s.label}, dlogits);
-        hits += rowArgmax(logits)[0] == s.label;
-    }
-    EvalResult res;
-    res.metric = static_cast<double>(hits) / static_cast<double>(samples);
-    res.loss = loss_sum / static_cast<double>(samples);
-    return res;
+    // The explicit return type keeps overload resolution from
+    // instantiating the body for the other model kind's input.
+    return dota::evaluate(
+        data_,
+        [this](const auto &input) -> Matrix { return model_.forward(input); },
+        samples, seed);
 }
 
-LMTrainer::LMTrainer(CausalLM &model, const SyntheticGrammar &grammar,
-                     TrainConfig cfg)
-    : model_(model), grammar_(grammar), cfg_(cfg)
-{
-    model_.collectParams(params_);
-    model_param_count_ = params_.size();
-}
-
-void
-LMTrainer::addExtraParams(const std::vector<Parameter *> &params)
-{
-    params_.insert(params_.end(), params.begin(), params.end());
-}
-
-double
-LMTrainer::train()
-{
-    model_.setForceDense(true);
-    Adam opt(params_, cfg_.adam);
-    Rng data_rng(cfg_.data_seed);
-    loss_history_.clear();
-    StepGuard guard(cfg_.guard);
-    CheckpointManager ckpt(cfg_.checkpoint);
-    const size_t start_step =
-        ckpt.resume(params_, opt, data_rng, loss_history_, guard);
-    loss_history_.reserve(cfg_.steps);
-
-    const bool replicable = params_.size() == model_param_count_ &&
-                            !model_.hasHook() && cfg_.batch > 1;
-    const size_t slots =
-        replicable ? ThreadPool::globalConcurrency() : 1;
-    std::vector<std::unique_ptr<CausalLM>> replicas;
-    std::vector<std::vector<Parameter *>> replica_params;
-    for (size_t s = 1; s < slots; ++s) {
-        replicas.push_back(std::make_unique<CausalLM>(model_.config()));
-        replicas.back()->setForceDense(true);
-        replica_params.emplace_back();
-        replicas.back()->collectParams(replica_params.back());
-    }
-
-    double last_loss = loss_history_.empty() ? 0.0 : loss_history_.back();
-    std::vector<std::vector<int>> batch(cfg_.batch);
-    std::vector<std::vector<Matrix>> sample_grads(cfg_.batch);
-    std::vector<double> sample_loss(cfg_.batch, 0.0);
-    for (size_t step = start_step; step < cfg_.steps; ++step) {
-        for (size_t b = 0; b < cfg_.batch; ++b)
-            batch[b] = grammar_.sample(data_rng);
-        for (auto &rep : replicas)
-            copyParams(model_, *rep);
-        auto runRange = [&](size_t b0, size_t b1) {
-            const int slot = ThreadPool::slot();
-            CausalLM *m = slot == 0 ? &model_ : replicas[slot - 1].get();
-            const std::vector<Parameter *> &ps =
-                slot == 0 ? params_ : replica_params[slot - 1];
-            for (size_t b = b0; b < b1; ++b) {
-                zeroGrads(ps);
-                sample_loss[b] = m->lmLoss(batch[b], true);
-                captureGrads(ps, sample_grads[b]);
-            }
-        };
-        if (slots == 1)
-            runRange(0, cfg_.batch);
-        else
-            parallelFor(0, cfg_.batch, 1, runRange);
-        opt.zeroGrad();
-        double loss_sum = 0.0;
-        for (size_t b = 0; b < cfg_.batch; ++b) {
-            loss_sum += sample_loss[b];
-            accumulateGrads(params_, sample_grads[b]);
-        }
-        scaleGrads(params_, 1.0 / static_cast<double>(cfg_.batch));
-        if (grad_cb_)
-            grad_cb_(step, params_);
-        last_loss = loss_sum / static_cast<double>(cfg_.batch);
-        if (!guard.shouldSkip(last_loss, params_)) {
-            opt.step();
-            guard.afterStep(opt);
-        }
-        loss_history_.push_back(last_loss);
-        if (cfg_.verbose && (step + 1) % cfg_.log_every == 0)
-            inform("LM step {}/{} loss {}", step + 1, cfg_.steps,
-                   last_loss);
-        ckpt.onStepComplete(step + 1, params_, opt, data_rng,
-                            loss_history_, guard);
-        if (cfg_.halt_after_step > 0 && step + 1 >= cfg_.halt_after_step)
-            break; // simulated preemption (tests)
-    }
-    guard_stats_ = guard.stats();
-    model_.setForceDense(false);
-    return last_loss;
-}
-
-EvalResult
-LMTrainer::evaluate(size_t samples, uint64_t seed) const
-{
-    Rng eval_rng(seed);
-    double loss_sum = 0.0;
-    for (size_t i = 0; i < samples; ++i)
-        loss_sum += model_.lmLoss(grammar_.sample(eval_rng), false);
-    EvalResult res;
-    res.loss = loss_sum / static_cast<double>(samples);
-    res.metric = perplexityFromLoss(res.loss);
-    return res;
-}
+template class Trainer<TransformerClassifier, SyntheticTask>;
+template class Trainer<CausalLM, SyntheticGrammar>;
 
 } // namespace dota

@@ -2,11 +2,11 @@
  * @file
  * Training and evaluation loops for the synthetic-task models.
  *
- * The trainers implement the paper's two-phase recipe: pre-train a dense
- * model, then "model adaptation" — continue training with the detector
- * hook installed so the model adapts to sparse attention while the
- * detector's parameters (passed in as extra parameters) are jointly
- * optimized (Section 3.2).
+ * One Trainer loop serves both model kinds and both phases of the
+ * paper's recipe: pre-train a dense model, then "model adaptation" —
+ * continue training with the detector hook installed so the model adapts
+ * to sparse attention while the detector's parameters (passed in as
+ * extra parameters) are jointly optimized (Section 3.2).
  *
  * Batch execution is parallel (common/thread_pool.hpp, DOTA_THREADS):
  * samples are drawn serially from the data stream, forward/backward runs
@@ -45,8 +45,6 @@ struct TrainConfig
     size_t batch = 8;          ///< sequences per step (grad accumulation)
     uint64_t data_seed = 123;  ///< training-stream seed
     AdamConfig adam;
-    bool verbose = false;
-    size_t log_every = 100;
 
     CheckpointConfig checkpoint; ///< crash-safe checkpointing policy
     GuardRailConfig guard;       ///< numerical guard rails
@@ -66,24 +64,41 @@ struct EvalResult
     double loss = 0.0;   ///< mean cross-entropy
 };
 
-/** Trainer for TransformerClassifier on a SyntheticTask. */
-class ClassifierTrainer
+/** Seed of the held-out evaluation stream (same seed -> same set). */
+inline constexpr uint64_t kEvalSeed = 4242;
+
+/**
+ * Score @p forward on @p samples held-out task samples: argmax accuracy
+ * and mean cross-entropy. Trainer::evaluate passes the model's forward;
+ * the int8 series passes int8Forward, so both score the same samples.
+ */
+EvalResult evaluate(const SyntheticTask &task,
+                    const std::function<Matrix(const Matrix &)> &forward,
+                    size_t samples, uint64_t seed = kEvalSeed);
+
+/** LM counterpart: perplexity and mean next-token cross-entropy. */
+EvalResult
+evaluate(const SyntheticGrammar &grammar,
+         const std::function<Matrix(const std::vector<int> &)> &forward,
+         size_t samples, uint64_t seed = kEvalSeed);
+
+/**
+ * The training loop of one model kind on its data: a
+ * TransformerClassifier on a SyntheticTask (ClassifierTrainer) or a
+ * CausalLM on a SyntheticGrammar (LMTrainer). Only drawing a sample,
+ * its loss and the eval metric differ between the two.
+ */
+template <class Model, class Data>
+class Trainer
 {
   public:
-    ClassifierTrainer(TransformerClassifier &model,
-                      const SyntheticTask &task, TrainConfig cfg);
+    Trainer(Model &model, const Data &data, TrainConfig cfg);
 
     /**
      * Jointly optimize additional parameters (e.g. the Detector's) with
      * the model. Must be called before train().
      */
     void addExtraParams(const std::vector<Parameter *> &params);
-
-    /** Poll called once per step with the step index (for aux losses). */
-    void setStepCallback(std::function<void(size_t)> cb)
-    {
-        step_cb_ = std::move(cb);
-    }
 
     /**
      * Test hook: called after the fixed-order gradient reduction and
@@ -110,52 +125,12 @@ class ClassifierTrainer
     /** Guard-rail counters of the most recent train() call. */
     const GuardRailStats &guardStats() const { return guard_stats_; }
 
-    /** Deterministic held-out evaluation (same seed -> same set). */
-    EvalResult evaluate(size_t samples, uint64_t seed = 4242) const;
+    /** Held-out evaluation of the model's own forward (see evaluate). */
+    EvalResult evaluate(size_t samples, uint64_t seed = kEvalSeed) const;
 
   private:
-    TransformerClassifier &model_;
-    const SyntheticTask &task_;
-    TrainConfig cfg_;
-    std::vector<Parameter *> params_;
-    size_t model_param_count_ = 0; ///< params_ prefix owned by the model
-    std::function<void(size_t)> step_cb_;
-    std::function<void(size_t, const std::vector<Parameter *> &)> grad_cb_;
-    std::vector<double> loss_history_;
-    GuardRailStats guard_stats_;
-};
-
-/** Trainer for CausalLM on a SyntheticGrammar. */
-class LMTrainer
-{
-  public:
-    LMTrainer(CausalLM &model, const SyntheticGrammar &grammar,
-              TrainConfig cfg);
-
-    void addExtraParams(const std::vector<Parameter *> &params);
-
-    /** Test hook: see ClassifierTrainer::setGradCallback. */
-    void setGradCallback(
-        std::function<void(size_t, const std::vector<Parameter *> &)> cb)
-    {
-        grad_cb_ = std::move(cb);
-    }
-
-    /** See ClassifierTrainer::train (same dense-attention rule). */
-    double train();
-
-    /** Mean loss of every step of the most recent train() call. */
-    const std::vector<double> &lossHistory() const { return loss_history_; }
-
-    /** Guard-rail counters of the most recent train() call. */
-    const GuardRailStats &guardStats() const { return guard_stats_; }
-
-    /** Perplexity on a deterministic held-out stream. */
-    EvalResult evaluate(size_t samples, uint64_t seed = 4242) const;
-
-  private:
-    CausalLM &model_;
-    const SyntheticGrammar &grammar_;
+    Model &model_;
+    const Data &data_;
     TrainConfig cfg_;
     std::vector<Parameter *> params_;
     size_t model_param_count_ = 0; ///< params_ prefix owned by the model
@@ -163,5 +138,8 @@ class LMTrainer
     std::vector<double> loss_history_;
     GuardRailStats guard_stats_;
 };
+
+using ClassifierTrainer = Trainer<TransformerClassifier, SyntheticTask>;
+using LMTrainer = Trainer<CausalLM, SyntheticGrammar>;
 
 } // namespace dota
