@@ -20,18 +20,8 @@ KvCache::append(const Matrix &k_rows, const Matrix &v_rows)
                 "K/V row counts differ: {} vs {}", k_rows.rows(),
                 v_rows.rows());
     mass.resize(mass.size() + k_rows.rows(), 0.0);
-    const auto grow = [](Matrix &m, const Matrix &rows) {
-        if (m.empty()) {
-            m = rows;
-            return;
-        }
-        Matrix g(m.rows() + rows.rows(), m.cols());
-        std::copy(m.data(), m.data() + m.size(), g.data());
-        std::copy(rows.data(), rows.data() + rows.size(), g.row(m.rows()));
-        m = std::move(g);
-    };
-    grow(k, k_rows);
-    grow(v, v_rows);
+    k.appendRows(k_rows);
+    v.appendRows(v_rows);
 }
 
 size_t

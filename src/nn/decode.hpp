@@ -41,7 +41,7 @@ struct KvCache
     /** KV bytes held (K + V payload, excluding the mass telemetry). */
     size_t bytes() const { return (k.size() + v.size()) * sizeof(float); }
 
-    /** Append projected rows (same count) to both caches. */
+    /** Append projected rows (same count) to both caches, in place. */
     void append(const Matrix &k_rows, const Matrix &v_rows);
 };
 

@@ -53,6 +53,17 @@ Matrix::rowCopy(size_t r) const
     return out;
 }
 
+void
+Matrix::appendRows(const Matrix &rows)
+{
+    if (rows_ == 0)
+        cols_ = rows.cols_;
+    DOTA_ASSERT(rows.cols_ == cols_, "appending {} rows to {}",
+                rows.shapeStr(), shapeStr());
+    data_.insert(data_.end(), rows.data_.begin(), rows.data_.end());
+    rows_ += rows.rows_;
+}
+
 double
 Matrix::frobeniusNorm() const
 {

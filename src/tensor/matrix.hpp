@@ -83,6 +83,12 @@ class Matrix
         cols_ = cols;
     }
 
+    /**
+     * Append the rows of @p rows in place (amortized growth, no copy of
+     * the existing rows); a 0-row matrix takes @p rows' column count.
+     */
+    void appendRows(const Matrix &rows);
+
     /** Gaussian init with given stddev (used for weight matrices). */
     static Matrix randomNormal(size_t rows, size_t cols, Rng &rng,
                                float mean = 0.0f, float stddev = 1.0f);

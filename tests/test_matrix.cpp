@@ -45,6 +45,19 @@ TEST(Matrix, Reshape)
     EXPECT_EQ(m.cols(), 4u);
 }
 
+TEST(Matrix, AppendRows)
+{
+    Matrix m;
+    m.appendRows(Matrix(2, 3, std::vector<float>{1, 2, 3, 4, 5, 6}));
+    m.appendRows(Matrix(1, 3, 7.0f));
+    EXPECT_EQ(m.rows(), 3u);
+    EXPECT_EQ(m.cols(), 3u);
+    EXPECT_FLOAT_EQ(m(1, 2), 6.0f);
+    EXPECT_FLOAT_EQ(m(2, 0), 7.0f);
+    m.appendRows(Matrix(0, 3));
+    EXPECT_EQ(m.rows(), 3u);
+}
+
 TEST(Matrix, Identity)
 {
     Matrix id = Matrix::identity(3);
