@@ -88,8 +88,9 @@ TEST(ContinuousBatching, NoDecodeBeforePrefillCompletes)
         EXPECT_GE(out.ttft_ms + 1e-9, prefill_ms)
             << "request " << out.id << " decoded before prefill";
         // And decode tokens follow the first token, never precede it.
-        if (req.output_len > 1)
+        if (req.output_len > 1) {
             EXPECT_GT(out.tpot_ms, 0.0);
+        }
         EXPECT_GE(out.finish_ms - req.arrival_ms, out.ttft_ms);
     }
 }

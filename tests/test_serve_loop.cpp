@@ -55,25 +55,21 @@ generate(const GenTrace &trace)
 
 TEST(ServeTraceIdsDeathTest, SimulatorRejectsOutOfRangeId)
 {
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     EXPECT_DEATH(simulate(requestTrace({0, 5})), "dense and unique");
 }
 
 TEST(ServeTraceIdsDeathTest, SimulatorRejectsDuplicateId)
 {
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     EXPECT_DEATH(simulate(requestTrace({1, 1})), "dense and unique");
 }
 
 TEST(ServeTraceIdsDeathTest, EngineRejectsOutOfRangeId)
 {
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     EXPECT_DEATH(generate(genTrace({0, 5})), "dense and unique");
 }
 
 TEST(ServeTraceIdsDeathTest, EngineRejectsDuplicateId)
 {
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     EXPECT_DEATH(generate(genTrace({1, 1})), "dense and unique");
 }
 
