@@ -18,8 +18,10 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <string>
 
+#include "common/recordfile.hpp"
 #include "nn/param.hpp"
 
 namespace dota {
@@ -38,6 +40,16 @@ enum class LoadStatus
 
 /** Display name, e.g. "arch-mismatch". */
 std::string loadStatusName(LoadStatus status);
+
+/**
+ * readRecordFile plus the identity checks every checkpoint loader
+ * shares: a container failure maps onto its LoadStatus, a record file
+ * of another @p kind is NotACheckpoint, and another @p schema_version is
+ * BadVersion. @p what names the checkpoint kind in diagnostics.
+ */
+LoadStatus readCheckpointFile(const std::string &path, uint32_t kind,
+                              uint32_t schema_version, const char *what,
+                              RecordFile &out, std::string *error);
 
 /**
  * Save every parameter of @p module to @p path, atomically. fatal() on

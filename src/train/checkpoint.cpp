@@ -21,33 +21,6 @@ constexpr uint32_t kSchemaVersion = 1;
 constexpr char kFilePrefix[] = "ckpt-";
 constexpr char kFileSuffix[] = ".dota";
 
-template <typename T>
-void
-appendInt(std::string &buf, T v)
-{
-    char raw[sizeof(T)];
-    std::memcpy(raw, &v, sizeof(T));
-    buf.append(raw, sizeof(T));
-}
-
-template <typename T>
-bool
-readInt(const std::string &buf, size_t &off, T &v)
-{
-    if (off + sizeof(T) > buf.size())
-        return false;
-    std::memcpy(&v, buf.data() + off, sizeof(T));
-    off += sizeof(T);
-    return true;
-}
-
-void
-setError(std::string *error, std::string msg)
-{
-    if (error)
-        *error = std::move(msg);
-}
-
 std::string
 encodeMeta(const TrainingSnapshot &snap)
 {
@@ -237,32 +210,11 @@ tryLoadTrainCheckpoint(const std::string &path, TrainingSnapshot &out,
                        std::string *error)
 {
     RecordFile file;
-    const RecordFileStatus rs = readRecordFile(path, file, error);
-    switch (rs) {
-      case RecordFileStatus::Ok:
-        break;
-      case RecordFileStatus::IoError:
-        return LoadStatus::IoError;
-      case RecordFileStatus::BadMagic:
-        return LoadStatus::NotACheckpoint;
-      case RecordFileStatus::BadVersion:
-        return LoadStatus::BadVersion;
-      case RecordFileStatus::Truncated:
-        return LoadStatus::Truncated;
-      case RecordFileStatus::Corrupt:
-        return LoadStatus::Corrupt;
-    }
-    if (file.kind != kTrainKind) {
-        setError(error, format("'{}' is a DOTA record file but not a "
-                               "training checkpoint", path));
-        return LoadStatus::NotACheckpoint;
-    }
-    if (file.schema_version != kSchemaVersion) {
-        setError(error, format("training-checkpoint schema version {} "
-                               "unsupported (expected {})",
-                               file.schema_version, kSchemaVersion));
-        return LoadStatus::BadVersion;
-    }
+    const LoadStatus status = readCheckpointFile(
+        path, kTrainKind, kSchemaVersion, "training checkpoint", file,
+        error);
+    if (status != LoadStatus::Ok)
+        return status;
 
     out = TrainingSnapshot{};
     uint64_t param_count = 0;
