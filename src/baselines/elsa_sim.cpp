@@ -23,7 +23,7 @@ ceilDiv(uint64_t a, uint64_t b)
 
 ElsaAccelerator::ElsaAccelerator(HwConfig hw, EnergyModel em,
                                  ElsaConfig cfg)
-    : hw_(hw), em_(em), cfg_(cfg), rmmu_(hw.lane.rmmu, &em_)
+    : hw_(hw), em_(em), cfg_(cfg), rmmu_(hw.lane.rmmu)
 {}
 
 RunReport

@@ -1,43 +1,17 @@
 /**
  * @file
- * Lightweight statistics package for the simulator, in the spirit of the
- * gem5 stats framework: named scalar counters and distributions that
- * register with a StatGroup and can be dumped as a formatted report.
+ * Running summary statistics (Welford) for sampled quantities, e.g. the
+ * fleet simulator's completion-time distribution.
  */
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <ostream>
 #include <string>
-#include <vector>
 
 namespace dota {
-
-/** A named, monotonically accumulating scalar statistic. */
-class Counter
-{
-  public:
-    Counter() = default;
-    explicit Counter(std::string name, std::string desc = "")
-        : name_(std::move(name)), desc_(std::move(desc))
-    {}
-
-    Counter &operator+=(double v) { value_ += v; return *this; }
-    Counter &operator++() { value_ += 1.0; return *this; }
-
-    void reset() { value_ = 0.0; }
-    double value() const { return value_; }
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
-
-  private:
-    std::string name_;
-    std::string desc_;
-    double value_ = 0.0;
-};
 
 /** Running summary (count/mean/min/max/stddev) of a sampled quantity. */
 class Distribution
@@ -82,7 +56,7 @@ class Distribution
         return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
     }
 
-    double stddev() const;
+    double stddev() const { return std::sqrt(variance()); }
 
     const std::string &name() const { return name_; }
 
@@ -95,62 +69,6 @@ class Distribution
     double sum_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/** Fixed-bucket histogram over [lo, hi) with overflow/underflow buckets. */
-class Histogram
-{
-  public:
-    Histogram() = default;
-    Histogram(std::string name, double lo, double hi, size_t buckets);
-
-    void sample(double v, uint64_t weight = 1);
-    void reset();
-
-    uint64_t total() const { return total_; }
-    uint64_t underflow() const { return underflow_; }
-    uint64_t overflow() const { return overflow_; }
-    const std::vector<uint64_t> &buckets() const { return buckets_; }
-    double bucketLow(size_t i) const;
-    double bucketHigh(size_t i) const;
-
-    /** Value below which @p fraction of the mass lies (approximate). */
-    double percentile(double fraction) const;
-
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
-    double lo_ = 0.0;
-    double hi_ = 1.0;
-    std::vector<uint64_t> buckets_;
-    uint64_t underflow_ = 0;
-    uint64_t overflow_ = 0;
-    uint64_t total_ = 0;
-};
-
-/**
- * A named collection of statistics belonging to one simulated module.
- * Modules own their StatGroup and register pointers to member stats; the
- * group can render a human-readable dump.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    void addCounter(Counter *c) { counters_.push_back(c); }
-    void addDistribution(Distribution *d) { dists_.push_back(d); }
-
-    void dump(std::ostream &os) const;
-    void resetAll();
-
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
-    std::vector<Counter *> counters_;
-    std::vector<Distribution *> dists_;
 };
 
 } // namespace dota

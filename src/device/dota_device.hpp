@@ -25,7 +25,6 @@ class DotaDevice : public Device
     std::unique_ptr<Device> clone() const override;
 
     DotaMode mode() const { return mode_; }
-    const SimOptions &simOptions() const { return sim_; }
     const DotaAccelerator &accelerator() const { return accel_; }
 
   private:

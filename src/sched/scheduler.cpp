@@ -9,15 +9,6 @@
 
 namespace dota {
 
-std::vector<GroupSchedule>
-Scheduler::scheduleAll(const SparseMask &mask) const
-{
-    std::vector<GroupSchedule> out;
-    for (size_t base = 0; base < mask.rows(); base += parallelism_)
-        out.push_back(scheduleGroup(mask, base));
-    return out;
-}
-
 GroupSchedule
 RowByRowScheduler::scheduleGroup(const SparseMask &mask, size_t base) const
 {

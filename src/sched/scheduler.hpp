@@ -35,9 +35,6 @@ class Scheduler
     virtual GroupSchedule scheduleGroup(const SparseMask &mask,
                                         size_t base) const = 0;
 
-    /** Schedule every group of the mask. */
-    std::vector<GroupSchedule> scheduleAll(const SparseMask &mask) const;
-
     size_t parallelism() const { return parallelism_; }
 
   protected:

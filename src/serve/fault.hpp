@@ -141,8 +141,6 @@ class FaultInjector
      */
     const std::vector<FaultEvent> &schedule() const { return events_; }
 
-    double transientProb() const { return transient_prob_; }
-
     /** Draw one transient-failure decision from @p rng. */
     bool
     drawTransient(Rng &rng) const

@@ -110,7 +110,7 @@ modeRetention(const Benchmark &bench, DotaMode mode)
 }
 
 DotaAccelerator::DotaAccelerator(HwConfig hw, EnergyModel em)
-    : hw_(hw), em_(em), rmmu_(hw.lane.rmmu, &em_)
+    : hw_(hw), em_(em), rmmu_(hw.lane.rmmu)
 {}
 
 uint64_t

@@ -110,7 +110,6 @@ class DotaAccelerator
                              double retention) const;
 
     const HwConfig &hw() const { return hw_; }
-    const EnergyModel &energyModel() const { return em_; }
 
   private:
     PhaseCost linearPhase(const ModelShape &shape,

@@ -75,9 +75,6 @@ struct HwConfig
         return static_cast<double>(fabricMacsPerCycle()) * freq_ghz / 1e3;
     }
 
-    /** Cycle time in nanoseconds. */
-    double cycleNs() const { return 1.0 / freq_ghz; }
-
     /** DRAM bytes deliverable per cycle. */
     double
     dramBytesPerCycle() const

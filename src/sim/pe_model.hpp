@@ -70,7 +70,6 @@ class MultiPrecisionPe
     void reset() { psum_ = 0; }
 
     uint64_t cyclesElapsed() const { return cycles_; }
-    uint64_t unitOpsUsed() const { return unit_ops_; }
 
     /** Fraction of INT2 unit-cell slots doing useful work so far. */
     double utilization() const;

@@ -71,20 +71,4 @@ RunReport::totalEnergyJ() const
            leakage_j;
 }
 
-uint64_t
-RunReport::totalDramBytes() const
-{
-    return (per_layer.linear.dram_bytes + per_layer.detection.dram_bytes +
-            per_layer.attention.dram_bytes) *
-           layers;
-}
-
-uint64_t
-RunReport::totalSramBytes() const
-{
-    return (per_layer.linear.sram_bytes + per_layer.detection.sram_bytes +
-            per_layer.attention.sram_bytes) *
-           layers;
-}
-
 } // namespace dota

@@ -55,9 +55,6 @@ struct RunReport
     double linearTimeMs() const;
     double totalEnergyJ() const;     ///< dynamic + leakage
     double leakage_j = 0.0;
-
-    uint64_t totalDramBytes() const;
-    uint64_t totalSramBytes() const;
 };
 
 } // namespace dota

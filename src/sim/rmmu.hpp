@@ -1,7 +1,7 @@
 /**
  * @file
- * Cycle and energy model of the Reconfigurable Matrix Multiplication
- * Unit (Section 4.2, Figure 7).
+ * Cycle model of the Reconfigurable Matrix Multiplication Unit
+ * (Section 4.2, Figure 7).
  *
  * The RMMU is a 2-D array of multi-precision MAC PEs. Each PE retires one
  * FX16 MAC per cycle, or — using its four INT2 sub-multipliers as an
@@ -12,8 +12,8 @@
  */
 #pragma once
 
-#include "sim/energy_model.hpp"
 #include "sim/hw_config.hpp"
+#include "tensor/quant.hpp"
 
 namespace dota {
 
@@ -21,7 +21,7 @@ namespace dota {
 class Rmmu
 {
   public:
-    Rmmu(RmmuConfig cfg, const EnergyModel *em) : cfg_(cfg), em_(em) {}
+    explicit Rmmu(RmmuConfig cfg) : cfg_(cfg) {}
 
     /** MACs retired per cycle at @p p with the whole array configured. */
     uint64_t
@@ -38,13 +38,6 @@ class Rmmu
     uint64_t gemmCycles(uint64_t m, uint64_t k, uint64_t n,
                         Precision p) const;
 
-    /** Energy of the same GEMM (real MACs only). */
-    double
-    gemmEnergyPj(uint64_t m, uint64_t k, uint64_t n, Precision p) const
-    {
-        return static_cast<double>(m * k * n) * em_->macPj(p);
-    }
-
     /**
      * Cycles to execute sparse-attention rounds in Token-Parallel mode:
      * every round occupies T dot-product slots of length @p head_dim
@@ -57,7 +50,6 @@ class Rmmu
 
   private:
     RmmuConfig cfg_;
-    const EnergyModel *em_;
 };
 
 } // namespace dota

@@ -9,7 +9,6 @@
 namespace dota {
 
 IntSoftmaxLut::IntSoftmaxLut(float score_scale)
-    : score_scale_(score_scale)
 {
     // One raw score unit in nats, converted to base-2 Q24. A degenerate
     // scale (calibration never saw a score) degrades to scale 1 like

@@ -49,10 +49,7 @@ class IntSoftmaxLut
     /** Real probability represented by output code 127 is ~1: 1/127. */
     float probScale() const { return 1.0f / 127.0f; }
 
-    float scoreScale() const { return score_scale_; }
-
   private:
-    float score_scale_ = 1.0f;
     int64_t factor_q24_ = 0; ///< round(score_scale / ln2 * 2^24)
     uint16_t lut_[256];      ///< Q15 codes of 2^(-f/256), f = 0..255
 };

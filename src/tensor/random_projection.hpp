@@ -40,9 +40,6 @@ class SignHashes
     /** Hash rows of @p x with a shared, pre-drawn hyperplane matrix. */
     SignHashes(const Matrix &x, const Matrix &hyperplanes);
 
-    size_t numRows() const { return hashes_.size(); }
-    size_t numBits() const { return m_; }
-
     /** Hamming distance between the hashes of rows @p i and @p j. */
     uint32_t hamming(size_t i, size_t j) const;
 

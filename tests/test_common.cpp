@@ -131,16 +131,6 @@ TEST(Rng, ShufflePreservesElements)
     EXPECT_EQ(v, orig);
 }
 
-TEST(Stats, CounterAccumulates)
-{
-    Counter c("hits");
-    c += 2.5;
-    ++c;
-    EXPECT_DOUBLE_EQ(c.value(), 3.5);
-    c.reset();
-    EXPECT_DOUBLE_EQ(c.value(), 0.0);
-}
-
 TEST(Stats, DistributionWelford)
 {
     Distribution d("lat");
@@ -159,41 +149,6 @@ TEST(Stats, DistributionEmpty)
     EXPECT_EQ(d.count(), 0u);
     EXPECT_DOUBLE_EQ(d.mean(), 0.0);
     EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-}
-
-TEST(Stats, HistogramBuckets)
-{
-    Histogram h("h", 0.0, 10.0, 10);
-    h.sample(-1.0);
-    h.sample(0.0);
-    h.sample(5.5);
-    h.sample(25.0);
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.buckets()[0], 1u);
-    EXPECT_EQ(h.buckets()[5], 1u);
-}
-
-TEST(Stats, HistogramPercentile)
-{
-    Histogram h("h", 0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.sample(i + 0.5);
-    EXPECT_NEAR(h.percentile(0.5), 50.0, 2.0);
-    EXPECT_NEAR(h.percentile(0.9), 90.0, 2.0);
-}
-
-TEST(Stats, GroupDumpContainsNames)
-{
-    StatGroup g("lane0");
-    Counter c("macs", "MACs retired");
-    g.addCounter(&c);
-    c += 42;
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_NE(os.str().find("lane0.macs"), std::string::npos);
-    EXPECT_NE(os.str().find("42"), std::string::npos);
 }
 
 TEST(Table, AlignsAndCounts)

@@ -28,8 +28,7 @@ TEST(HwConfig, ScaledFabricNearGpuPeak)
 
 TEST(Rmmu, GemmCyclesExact)
 {
-    const EnergyModel em = EnergyModel::tsmc22();
-    Rmmu rmmu(RmmuConfig{32, 16}, &em);
+    Rmmu rmmu(RmmuConfig{32, 16});
     // Perfectly tiled GEMM: (64x128)*(128x32) -> 2x2 tiles x 128 cycles.
     EXPECT_EQ(rmmu.gemmCycles(64, 128, 32, Precision::FX16), 512u);
     // Edge tiles round up.
@@ -39,8 +38,7 @@ TEST(Rmmu, GemmCyclesExact)
 
 TEST(Rmmu, PrecisionScalesReduction)
 {
-    const EnergyModel em = EnergyModel::tsmc22();
-    Rmmu rmmu(RmmuConfig{32, 16}, &em);
+    Rmmu rmmu(RmmuConfig{32, 16});
     const uint64_t fx16 = rmmu.gemmCycles(32, 256, 16, Precision::FX16);
     EXPECT_EQ(rmmu.gemmCycles(32, 256, 16, Precision::INT8), fx16 / 4);
     EXPECT_EQ(rmmu.gemmCycles(32, 256, 16, Precision::INT4), fx16 / 16);
@@ -49,16 +47,14 @@ TEST(Rmmu, PrecisionScalesReduction)
 
 TEST(Rmmu, MacsPerCycle)
 {
-    const EnergyModel em = EnergyModel::tsmc22();
-    Rmmu rmmu(RmmuConfig{32, 16}, &em);
+    Rmmu rmmu(RmmuConfig{32, 16});
     EXPECT_EQ(rmmu.macsPerCycle(Precision::FX16), 512u);
     EXPECT_EQ(rmmu.macsPerCycle(Precision::INT2), 512u * 64);
 }
 
 TEST(Rmmu, SparseAttentionCycles)
 {
-    const EnergyModel em = EnergyModel::tsmc22();
-    Rmmu rmmu(RmmuConfig{32, 16}, &em);
+    Rmmu rmmu(RmmuConfig{32, 16});
     // 100 rounds x 4 queries x 64-dim dot products = 25600 MAC slots.
     EXPECT_EQ(rmmu.sparseAttentionCycles(100, 4, 64), 50u);
 }
