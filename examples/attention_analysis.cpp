@@ -107,27 +107,21 @@ main()
         warmupDetector(model, task, det, 60, 4, 5e-3);
 
         if (v.adapt) {
-            det.config().apply_mask = true;
-            det.config().train = true;
-            model.setHook(&det);
             TrainConfig ad;
             ad.steps = 120;
             ad.batch = 8;
             ad.adam.lr = 3e-4;
-            ClassifierTrainer joint(model, task, ad);
-            std::vector<Parameter *> dps;
-            det.collectParams(dps);
-            joint.addExtraParams(dps);
-            joint.train();
+            adaptJointly(model, task, det, ad);
         }
 
         // Evaluate with omission enabled.
         det.config().apply_mask = true;
         det.config().train = false;
         model.setHook(&det);
-        TrainConfig dummy;
-        ClassifierTrainer eval(model, task, dummy);
-        const double acc = eval.evaluate(150).metric;
+        const double acc =
+            evaluate(task, [&](const Matrix &x) { return model.forward(x); },
+                     150)
+                .metric;
         det.consumeMseLoss();
         Rng probe(5);
         // The inference-time L_MSE probe needs observeScores to fire, so

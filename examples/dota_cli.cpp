@@ -526,24 +526,21 @@ runTrain(const CliOptions &opt)
 
     double final_loss = 0.0;
     size_t trained_steps = 0;
+    const auto trainOn = [&](auto &model, const auto &data) {
+        Trainer trainer(model, data, tc);
+        if (opt.kill_at_step >= 0)
+            trainer.setGradCallback(kill);
+        final_loss = trainer.train();
+        trained_steps = trainer.lossHistory().size();
+    };
     if (bench.id == BenchmarkId::LM) {
         TransformerConfig cfg = bench.tiny;
         cfg.max_seq = 128;
         CausalLM model(cfg);
-        const SyntheticGrammar grammar(proxyGrammarFor(bench));
-        LMTrainer trainer(model, grammar, tc);
-        if (opt.kill_at_step >= 0)
-            trainer.setGradCallback(kill);
-        final_loss = trainer.train();
-        trained_steps = trainer.lossHistory().size();
+        trainOn(model, SyntheticGrammar(proxyGrammarFor(bench)));
     } else {
         TransformerClassifier model(bench.tiny);
-        const SyntheticTask task(proxyTaskFor(bench));
-        ClassifierTrainer trainer(model, task, tc);
-        if (opt.kill_at_step >= 0)
-            trainer.setGradCallback(kill);
-        final_loss = trainer.train();
-        trained_steps = trainer.lossHistory().size();
+        trainOn(model, SyntheticTask(proxyTaskFor(bench)));
     }
     char hex[64];
     std::snprintf(hex, sizeof(hex), "%a", final_loss);
