@@ -17,16 +17,12 @@ namespace fs = std::filesystem;
 
 namespace dota {
 
-namespace {
-
 void
 setError(std::string *error, std::string msg)
 {
     if (error)
         *error = std::move(msg);
 }
-
-} // namespace
 
 bool
 writeFileAtomic(const std::string &path, const std::string &bytes,

@@ -17,6 +17,9 @@
 
 namespace dota {
 
+/** Store @p msg in @p error when the caller asked for a diagnostic. */
+void setError(std::string *error, std::string msg);
+
 /**
  * Write @p bytes to @p path atomically (temp file + fsync + rename).
  * Returns true on success; on failure returns false and, when
