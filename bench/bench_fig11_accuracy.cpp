@@ -270,19 +270,8 @@ runAblations()
         if (v.warmup)
             warmupDetector(model, task, det, pc.warmup_steps,
                            pc.warmup_batch, pc.warmup_lr);
-        if (!v.balanced) {
-            // Calibrate a comparator threshold to ~10% density from one
-            // probe forward (masks disabled while probing).
-            det.config().apply_mask = false;
-            det.config().train = false;
-            model.setHook(&det);
-            Rng rng(7);
-            model.forward(task.sample(rng).features);
-            model.setHook(nullptr);
-            det.config().use_threshold = true;
-            det.config().threshold =
-                thresholdForRetention(det.lastEstimate(0, 0), 0.10);
-        }
+        if (!v.balanced) // the library's comparator threshold at ~10%
+            calibrateThreshold(model, task, det, 0.10);
         if (v.joint) {
             adaptJointly(model, task, det, pc.adapt);
         } else {

@@ -118,8 +118,8 @@ DotaDetector::selectSparseMask(size_t layer, size_t head, bool causal)
         for (size_t i = t0 * kTileRows; i < std::min(n, t1 * kTileRows);
              ++i) {
             const size_t visible = causal ? i + 1 : n;
-            kern.sparseScoreRow(qt.row(i), kt, all_keys.data(), visible,
-                                est.data());
+            kern.sparseScoreRow(qt.row(i), kt.data(), kt.cols(), kt.cols(),
+                                all_keys.data(), visible, est.data());
             std::vector<uint32_t> ids;
             if (cfg_.use_threshold) {
                 for (size_t j = 0; j < visible; ++j)

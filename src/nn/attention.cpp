@@ -43,20 +43,6 @@ MultiHeadAttention::addHeadSlice(Matrix &dst, const Matrix &src,
             dst(i, off + j) += src(i, j);
 }
 
-const Matrix &
-MultiHeadAttention::cachedCausalMask(size_t n)
-{
-    if (causal_cache_.rows() != n) {
-        Matrix m(n, n);
-        for (size_t i = 0; i < n; ++i)
-            for (size_t j = 0; j <= i; ++j)
-                m(i, j) = 1.0f;
-        causal_cache_ = std::move(m);
-        ++causal_builds_;
-    }
-    return causal_cache_;
-}
-
 Matrix
 MultiHeadAttention::forward(const Matrix &x)
 {
@@ -84,6 +70,8 @@ MultiHeadAttention::forward(const Matrix &x)
     const AttnChoice choice = attnChoice();
     const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(head_dim_));
     for (size_t h = 0; h < heads_; ++h) {
+        // Contiguous head copies: read in place, 1 KiB rows (d = 256) put
+        // a head on a quarter of the cache sets (DESIGN.md §13).
         const Matrix qh = headSlice(q_, h);
         const Matrix kh = headSlice(k_, h);
         const Matrix vh = headSlice(v_, h);
@@ -93,33 +81,24 @@ MultiHeadAttention::forward(const Matrix &x)
             masks_[h] = hook_->selectSparseMask(layer_, h, causal_);
         }
         // A hook mask replaces the causal constraint, on both paths.
-        const bool hook_mask = !masks_[h].empty();
+        const SparseMask *mask = masks_[h].empty() ? nullptr : &masks_[h];
 
         head_backends_[h] = resolveAttnBackend(
             choice, hook_ != nullptr, hook_ && hook_->wantsFullScores(),
-            force_dense_, hook_mask, n);
+            force_dense_, mask != nullptr, n);
         if (head_backends_[h] == AttnBackendKind::Sparse) {
             // s_raw_[h]/a_[h] stay empty; observeScores skipped.
             sparse_forward_ = true;
-            addHeadSlice(z_,
-                         rowsAttention(qh, kh, vh,
-                                       hook_mask ? &masks_[h] : nullptr,
-                                       causal_ && !hook_mask, inv_sqrt_dk),
+            addHeadSlice(z_, rowsAttention(qh, kh, vh, mask, causal_,
+                                           inv_sqrt_dk),
                          h);
             continue;
         }
 
-        // Raw scores S = Q K^T (pre-scaling, matching Eq. 5's target).
-        // Only this path scatters the hook's mask rows to a dense 0/1
-        // matrix; the causal triangle comes from the per-length cache.
+        // Raw scores S = Q K^T (pre-scaling, matching Eq. 5's target),
+        // captured with A for backward.
         s_raw_[h] = matmulBT(qh, kh);
-        const Matrix scaled = scale(s_raw_[h], inv_sqrt_dk);
-        if (hook_mask)
-            a_[h] = rowSoftmaxMasked(scaled, masks_[h].toDense());
-        else if (causal_)
-            a_[h] = rowSoftmaxMasked(scaled, cachedCausalMask(n));
-        else
-            a_[h] = rowSoftmax(scaled);
+        a_[h] = keptSoftmax(s_raw_[h], mask, causal_, inv_sqrt_dk);
         addHeadSlice(z_, matmul(a_[h], vh), h);
         if (hook_)
             hook_->observeScores(layer_, h, s_raw_[h]);

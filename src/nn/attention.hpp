@@ -89,8 +89,7 @@ class MultiHeadAttention : public Module
     /**
      * Hook-selected masks applied in the last forward, as CSR rows
      * (empty when the hook kept everything). The causal constraint is
-     * not recorded here — it is implicit (see causal()) and, on the
-     * dense path, applied from the per-length cache below.
+     * not recorded here: it is implicit (see causal()).
      */
     const std::vector<SparseMask> &lastMasks() const { return masks_; }
 
@@ -99,16 +98,6 @@ class MultiHeadAttention : public Module
     {
         return head_backends_;
     }
-
-    /**
-     * The cached dense causal triangle for length @p n, rebuilt only
-     * when the length changes (two same-length forwards share one
-     * allocation — see causalMaskBuilds()).
-     */
-    const Matrix &cachedCausalMask(size_t n);
-
-    /** Number of times the causal mask was (re)built (regression). */
-    size_t causalMaskBuilds() const { return causal_builds_; }
 
     /** Weight accessors (used by the incremental decode path). */
     const Matrix &wq() const { return wq_.value; }
@@ -131,9 +120,6 @@ class MultiHeadAttention : public Module
     AttentionHook *hook_ = nullptr;
     bool force_dense_ = false;
     bool sparse_forward_ = false;
-
-    Matrix causal_cache_;      ///< dense causal triangle, per-length
-    size_t causal_builds_ = 0; ///< rebuild counter (tests)
 
     // Cached activations for backward.
     Matrix x_, q_, k_, v_, z_;

@@ -12,11 +12,10 @@
  * the model's backward through this interface.
  *
  * The mask travels as CSR rows (selectSparseMask). The layers ask for
- * that form only and scatter it to a dense 0/1 matrix just for the dense
- * path, so a hook that selects straight into CSR rows (DotaDetector)
- * never builds an n x n matrix on the inference path. Hooks that only
- * override the dense selectMask keep working through the default
- * selectSparseMask, a fromDense adapter.
+ * that form only and read its rows in place on every path, so a hook
+ * that selects straight into CSR rows (DotaDetector) never builds an
+ * n x n mask. Hooks that only override the dense selectMask keep
+ * working through the default selectSparseMask, a fromDense adapter.
  */
 #pragma once
 

@@ -5,7 +5,6 @@
 #include "nn/decode.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "common/crc32.hpp"
@@ -19,67 +18,8 @@ KvCache::append(const Matrix &k_rows, const Matrix &v_rows)
     DOTA_ASSERT(k_rows.rows() == v_rows.rows(),
                 "K/V row counts differ: {} vs {}", k_rows.rows(),
                 v_rows.rows());
-    mass.resize(mass.size() + k_rows.rows(), 0.0);
     k.appendRows(k_rows);
     v.appendRows(v_rows);
-}
-
-size_t
-evictWeak(KvCache &cache, size_t keep)
-{
-    const size_t t = cache.length();
-    DOTA_ASSERT(cache.mass.size() == t,
-                "attention-mass telemetry out of sync with cache");
-    if (keep >= t || t == 0)
-        return 0;
-    DOTA_ASSERT(keep >= 1, "eviction must keep at least one entry");
-
-    // Survivors: the `keep` highest-mass positions, older position
-    // winning ties, compacted back in original (causal) order.
-    std::vector<size_t> order(t);
-    for (size_t i = 0; i < t; ++i)
-        order[i] = i;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        if (cache.mass[a] != cache.mass[b])
-            return cache.mass[a] > cache.mass[b];
-        return a < b;
-    });
-    order.resize(keep);
-    std::sort(order.begin(), order.end());
-
-    Matrix nk(keep, cache.k.cols());
-    Matrix nv(keep, cache.v.cols());
-    std::vector<double> nm(keep);
-    for (size_t i = 0; i < keep; ++i) {
-        const size_t src = order[i];
-        std::copy(cache.k.row(src), cache.k.row(src) + cache.k.cols(),
-                  nk.row(i));
-        std::copy(cache.v.row(src), cache.v.row(src) + cache.v.cols(),
-                  nv.row(i));
-        nm[i] = cache.mass[src];
-    }
-    cache.k = std::move(nk);
-    cache.v = std::move(nv);
-    cache.mass = std::move(nm);
-    return t - keep;
-}
-
-size_t
-evictWeak(DecodeState &state, double keep_fraction)
-{
-    DOTA_ASSERT(keep_fraction > 0.0 && keep_fraction <= 1.0,
-                "keep_fraction must be in (0, 1]");
-    size_t evicted = 0;
-    for (KvCache &cache : state.layers) {
-        const size_t t = cache.length();
-        if (t == 0)
-            continue;
-        const size_t keep = std::max<size_t>(
-            1, static_cast<size_t>(
-                   std::ceil(keep_fraction * static_cast<double>(t))));
-        evicted += evictWeak(cache, keep);
-    }
-    return evicted;
 }
 
 size_t

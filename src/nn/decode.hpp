@@ -27,32 +27,14 @@ struct KvCache
     Matrix k; ///< t x dim
     Matrix v; ///< t x dim
 
-    /**
-     * Accumulated attention mass per cached position (softmax
-     * probability summed over heads and query steps) — the DOTA
-     * detector signal at cache grain: entries that keep receiving
-     * weak attention accumulate little mass and are the eviction
-     * victims of evictWeak().
-     */
-    std::vector<double> mass;
-
     size_t length() const { return k.rows(); }
 
-    /** KV bytes held (K + V payload, excluding the mass telemetry). */
+    /** KV bytes held (the K + V payload). */
     size_t bytes() const { return (k.size() + v.size()) * sizeof(float); }
 
     /** Append projected rows (same count) to both caches, in place. */
     void append(const Matrix &k_rows, const Matrix &v_rows);
 };
-
-/**
- * Evict the weakest cache entries of @p cache, keeping the @p keep
- * positions with the highest accumulated attention mass (ties keep the
- * older position) compacted in their original order — the RocketKV
- * recipe: weak attentions are omitted from memory, not just compute.
- * Returns the number of entries evicted (0 when keep >= length).
- */
-size_t evictWeak(KvCache &cache, size_t keep);
 
 /** Decoding session state for a CausalLM. */
 struct DecodeState
@@ -68,12 +50,6 @@ struct DecodeState
         position = 0;
     }
 };
-
-/**
- * Evict every layer of @p state down to ceil(keep_fraction * length)
- * entries (at least one). Returns total entries evicted across layers.
- */
-size_t evictWeak(DecodeState &state, double keep_fraction);
 
 /** Total KV bytes held by @p state across all layers. */
 size_t kvBytes(const DecodeState &state);

@@ -7,17 +7,14 @@
  * forward, one new row makes it a decode step, and the same function
  * serves both precisions:
  *
- *  - fp32 (no plan): the GEMMs of EncoderBlock::forward; attention reads
- *    K/V in place from the cache rows through the kernel table — `dot`
- *    for each score, the rowSoftmaxMasked operation sequence, and
- *    `sparseAvRow` over every kept key for A*V. Those are the per-element
- *    contracts of the dense path's matmulBT / matmul (and of the row
- *    kernel), so a decode step at any cache length is bit-identical to
- *    the matching row of CausalLM::forward.
- *  - int8 (an Int8BlockPlan): every GEMM on the u8 x s8 kernels, integer
- *    softmax between QK^T and A*V, s8 K/V codes in an Int8KvCache.
- *    Integer sums are exact, so a decode step is bit-identical to the
- *    matching row of the full-sequence int8 forward by arithmetic.
+ *  - fp32 (no plan): the GEMMs of EncoderBlock::forward, and each head
+ *    one rowsAttention call (tensor/rows_attention.hpp) on the cache
+ *    rows in place, so a decode step at any cache length is
+ *    bit-identical to the matching row of CausalLM::forward.
+ *  - int8 (an Int8BlockPlan): every GEMM on the u8 x s8 kernels, and
+ *    each head one int8RowsAttention call on the s8 K/V codes of an
+ *    Int8KvCache. Integer sums are exact, so a decode step is
+ *    bit-identical to the matching row of the int8 forward.
  *
  * The hook, when given, sees the fp layer's calls in the fp layer's
  * order (beginLayer, then observeQK / selectSparseMask / observeScores
@@ -39,7 +36,7 @@ struct BlockStep
     /** int8 execution plan of this block; nullptr runs fp32. */
     const Int8BlockPlan *plan = nullptr;
 
-    /** fp32 K/V cache (plan == nullptr); also feeds the attention mass. */
+    /** fp32 K/V cache (plan == nullptr). */
     KvCache *cache = nullptr;
 
     /** int8 K/V cache (plan != nullptr). */
@@ -49,8 +46,8 @@ struct BlockStep
     AttentionHook *hook = nullptr;
 
     /**
-     * fp32 only: keep the top max(1, round(retention * visible)) keys of
-     * each query row (1.0 = dense).
+     * Hook-free fp32: each query row keeps its keepCount(retention,
+     * visible) top exact scores, as a row-kernel mask (1.0 = dense).
      */
     double retention = 1.0;
 

@@ -87,6 +87,23 @@ int8Layers(std::vector<std::unique_ptr<EncoderBlock>> &blocks,
     return h;
 }
 
+/** The block plans and the head GEMM's plan of either model kind. */
+Int8Plan
+quantizeBlocks(std::vector<std::unique_ptr<EncoderBlock>> &blocks,
+               LinearLayer &head, const Int8Calibration &calib)
+{
+    DOTA_ASSERT(calib.layers.size() == blocks.size(),
+                "calibration covers {} layers, model has {}",
+                calib.layers.size(), blocks.size());
+    Int8Plan plan;
+    const Matrix &wh = head.weight().value;
+    plan.head = quantizeS8Transposed(wh, chooseSymmetricScale(wh, 8).scale);
+    plan.final_scale = symmetricScaleFromMaxAbs(calib.final_h, kU8ActQmax);
+    for (size_t l = 0; l < blocks.size(); ++l)
+        plan.blocks.push_back(buildBlockPlan(*blocks[l], calib.layers[l]));
+    return plan;
+}
+
 /** The head GEMM on its calibrated u8 grid. */
 Matrix
 int8Head(LinearLayer &head, const Int8Plan &plan, const Matrix &h)
@@ -130,40 +147,17 @@ Int8Plan
 quantizeClassifier(TransformerClassifier &model,
                    const Int8Calibration &calib)
 {
-    const TransformerConfig &cfg = model.config();
-    DOTA_ASSERT(calib.layers.size() == cfg.layers,
-                "calibration covers {} layers, model has {}",
-                calib.layers.size(), cfg.layers);
-    Int8Plan plan;
+    Int8Plan plan = quantizeBlocks(model.blocks(), model.headLayer(), calib);
     const Matrix &wi = model.inputLayer().weight().value;
     plan.input = quantizeS8Transposed(wi, chooseSymmetricScale(wi, 8).scale);
-    const Matrix &wh = model.headLayer().weight().value;
-    plan.head = quantizeS8Transposed(wh, chooseSymmetricScale(wh, 8).scale);
     plan.input_scale = symmetricScaleFromMaxAbs(calib.input, kU8ActQmax);
-    plan.final_scale = symmetricScaleFromMaxAbs(calib.final_h, kU8ActQmax);
-    plan.blocks.reserve(cfg.layers);
-    for (size_t l = 0; l < cfg.layers; ++l)
-        plan.blocks.push_back(
-            buildBlockPlan(*model.blocks()[l], calib.layers[l]));
     return plan;
 }
 
 Int8Plan
 quantizeLM(CausalLM &model, const Int8Calibration &calib)
 {
-    const TransformerConfig &cfg = model.config();
-    DOTA_ASSERT(calib.layers.size() == cfg.layers,
-                "calibration covers {} layers, model has {}",
-                calib.layers.size(), cfg.layers);
-    Int8Plan plan;
-    const Matrix &wh = model.lmHead().weight().value;
-    plan.head = quantizeS8Transposed(wh, chooseSymmetricScale(wh, 8).scale);
-    plan.final_scale = symmetricScaleFromMaxAbs(calib.final_h, kU8ActQmax);
-    plan.blocks.reserve(cfg.layers);
-    for (size_t l = 0; l < cfg.layers; ++l)
-        plan.blocks.push_back(
-            buildBlockPlan(*model.blocks()[l], calib.layers[l]));
-    return plan;
+    return quantizeBlocks(model.blocks(), model.lmHead(), calib);
 }
 
 Matrix
@@ -199,11 +193,9 @@ Int8KvCache::append(const Matrix &k_rows, const Matrix &v_rows,
     dim = d;
     heads = n_heads;
     const size_t dh = d / n_heads;
-    k_codes.reserve(k_codes.size() + k_rows.rows() * d);
-    v_codes.reserve(v_codes.size() + k_rows.rows() * d);
+    k_codes.resize((len + k_rows.rows()) * d); // grows geometrically
+    v_codes.resize(k_codes.size());
     for (size_t i = 0; i < k_rows.rows(); ++i, ++len) {
-        k_codes.resize((len + 1) * d);
-        v_codes.resize((len + 1) * d);
         int8_t *krow = k_codes.data() + len * d;
         for (size_t h = 0; h < n_heads; ++h)
             k_head_sums.push_back(quantizeS8Row(

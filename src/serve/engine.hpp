@@ -150,18 +150,19 @@ struct KvPolicy
     size_t bytes_per_token = 0;
 
     /**
-     * Post-prefill eviction: keep fraction of prompt KV entries at
-     * ladder level 0 (deeper levels use min(evict_retention, ladder
-     * retention)). 1.0 disables eviction.
+     * Post-prefill eviction: keep min(evict_retention, ladder
+     * retention) of the prompt KV entries, so 1.0 still evicts where
+     * the ladder retention is below 1 (dota-c, deeper levels).
      */
     double evict_retention = 0.5;
 
     /**
      * Dynamic top-k decode: fraction of the surviving KV entries each
-     * decode step attends to (same ladder tightening). 1.0 disables.
+     * decode step attends to, min(topk_retention, ladder retention).
      */
     double topk_retention = 0.5;
 
+    /** The switches: false turns eviction / dynamic top-k off. */
     bool evict_after_prefill = true;
     bool dynamic_topk = true;
 };

@@ -235,19 +235,19 @@ matmulBTRowsAvx2(const Matrix &a, const Matrix &b, Matrix &c, size_t i0,
 }
 
 void
-sparseScoreRowAvx2(const float *q, const Matrix &keys,
+sparseScoreRowAvx2(const float *q, const float *keys, size_t ldk, size_t k,
                    const uint32_t *cols, size_t nnz, float *out)
 {
-    const size_t k = keys.cols();
     size_t t = 0;
     for (; t + 4 <= nnz; t += 4) {
-        const float *rows[4] = {keys.row(cols[t]), keys.row(cols[t + 1]),
-                                keys.row(cols[t + 2]),
-                                keys.row(cols[t + 3])};
+        const float *rows[4] = {keys + cols[t] * ldk,
+                                keys + cols[t + 1] * ldk,
+                                keys + cols[t + 2] * ldk,
+                                keys + cols[t + 3] * ldk};
         dot4Avx2(q, rows, k, out + t);
     }
     for (; t < nnz; ++t)
-        out[t] = dotAvx2(q, keys.row(cols[t]), k);
+        out[t] = dotAvx2(q, keys + cols[t] * ldk, k);
 }
 
 void
@@ -437,9 +437,9 @@ const GemmKernelTable &
 avx2GemmKernels()
 {
     static const GemmKernelTable table = {
-        matmulRowsAvx2,   matmulATRowsAvx2, matmulBTRowsAvx2,
-        dotAvx2,          sparseScoreRowAvx2, sparseAvRowAvx2,
-        int8GemmBTRowsAvx2, int8DotAvx2,
+        matmulRowsAvx2,     matmulATRowsAvx2,   matmulBTRowsAvx2,
+        sparseScoreRowAvx2, sparseAvRowAvx2,    int8GemmBTRowsAvx2,
+        int8DotAvx2,
     };
     return table;
 }

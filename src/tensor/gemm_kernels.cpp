@@ -89,12 +89,12 @@ matmulBTRowsPortable(const Matrix &a, const Matrix &b, Matrix &c,
 }
 
 void
-sparseScoreRowPortable(const float *q, const Matrix &keys,
-                       const uint32_t *cols, size_t nnz, float *out)
+sparseScoreRowPortable(const float *q, const float *keys, size_t ldk,
+                       size_t k, const uint32_t *cols, size_t nnz,
+                       float *out)
 {
-    const size_t k = keys.cols();
     for (size_t t = 0; t < nnz; ++t)
-        out[t] = dotPortable(q, keys.row(cols[t]), k);
+        out[t] = dotPortable(q, keys + cols[t] * ldk, k);
 }
 
 void
@@ -143,10 +143,10 @@ const GemmKernelTable &
 portableGemmKernels()
 {
     static const GemmKernelTable table = {
-        matmulRowsPortable,   matmulATRowsPortable,
-        matmulBTRowsPortable, dotPortable,
-        sparseScoreRowPortable, sparseAvRowPortable,
-        int8GemmBTRowsPortable, int8DotPortable,
+        matmulRowsPortable,     matmulATRowsPortable,
+        matmulBTRowsPortable,   sparseScoreRowPortable,
+        sparseAvRowPortable,    int8GemmBTRowsPortable,
+        int8DotPortable,
     };
     return table;
 }

@@ -18,7 +18,7 @@
  *    portable path, vfmadd in AVX2). Tiling/blocking only reorders
  *    *which* elements are in flight, never the fold inside one element.
  *
- *  - **Dot family** (dot, matmulBTRows, sparseScoreRow): the reduction
+ *  - **Dot family** (matmulBTRows, sparseScoreRow): the reduction
  *    over p is lane-split exactly 8 ways. With kb = k - k % 8:
  *        lane[l] = fold of fma over p in {l, l+8, ...} ∩ [0, kb)
  *        s_l = lane[l] + lane[l+4]          (l = 0..3)
@@ -34,9 +34,8 @@
  * every DOTA_THREADS value (the PR 1 determinism contract).
  *
  * These entry points are consumed by tensor/ops.cpp,
- * tensor/rows_attention.cpp, the detector and the inference block step;
- * application code should keep calling the Matrix-level kernels in
- * tensor/ops.hpp.
+ * tensor/rows_attention.cpp and the detector; application code should
+ * keep calling the Matrix-level kernels in tensor/ops.hpp.
  */
 #pragma once
 
@@ -68,16 +67,15 @@ struct GemmKernelTable
     void (*matmulBTRows)(const Matrix &a, const Matrix &b, Matrix &c,
                          size_t i0, size_t i1);
 
-    /** Lane-split dot product of x[0..k) and y[0..k) (dot family). */
-    float (*dot)(const float *x, const float *y, size_t k);
-
     /**
-     * One query row of the sparse score kernel: out[t] = dot(q, keys row
-     * cols[t]) for t in [0, nnz), each element following the dot-family
-     * contract with k = keys.cols().
+     * One query row of the sparse score kernel over a strided key block
+     * whose row r starts at keys + r * ldk: out[t] = the dot-family
+     * reduction of q[0..k) against key row cols[t], for t in [0, nnz).
+     * Strides as in sparseAvRow.
      */
-    void (*sparseScoreRow)(const float *q, const Matrix &keys,
-                           const uint32_t *cols, size_t nnz, float *out);
+    void (*sparseScoreRow)(const float *q, const float *keys, size_t ldk,
+                           size_t k, const uint32_t *cols, size_t nnz,
+                           float *out);
 
     /**
      * One output row of the sparse A*V kernel over a strided value

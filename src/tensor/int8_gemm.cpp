@@ -6,7 +6,6 @@
 
 #include <cmath>
 
-#include "common/thread_pool.hpp"
 #include "tensor/gemm_kernels.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/quant.hpp"
@@ -145,14 +144,10 @@ int8GemmBT(const U8Tensor &a, const Int8Tensor &b, int32_t *c)
                     crow[j] -= zp * b.row_sums[j];
             }
     };
-    // Same serial-below-threshold policy as the float GEMMs; each
-    // output row is written by exactly one chunk, and s32 arithmetic is
-    // exact, so any thread count produces identical bits.
-    if (static_cast<uint64_t>(m) * k * n < gemmParallelMacThreshold())
-        rowBlock(0, m);
-    else
-        parallelFor(0, m, std::max<size_t>(1, m / (4 * ThreadPool::globalConcurrency())),
-                    rowBlock);
+    // The float GEMMs' row partition; each output row is written by
+    // exactly one chunk, and s32 arithmetic is exact, so any thread
+    // count produces identical bits.
+    parallelRows(m, static_cast<uint64_t>(m) * k * n, rowBlock);
 }
 
 Matrix

@@ -28,29 +28,25 @@ namespace {
  */
 constexpr uint64_t kParallelMacThreshold = 1ull << 21;
 
-/**
- * Row-block grain: ~4 chunks per thread so dynamic chunk claiming evens
- * out load without creating per-row scheduling overhead. Re-checked for
- * the vectorized kernels: at the new threshold the smallest parallel
- * GEMM (128^3) still gives each of the 4 chunks/thread >= 4 rows of
- * ~16k MACs each (~2 us), two orders of magnitude above the per-chunk
- * claim cost, so the policy carries over unchanged. Each output row is
- * written by exactly one chunk, so results are bit-identical for every
- * thread count (the determinism contract in common/thread_pool.hpp).
- */
-size_t
-gemmGrain(size_t rows)
-{
-    const size_t conc = ThreadPool::globalConcurrency();
-    return std::max<size_t>(1, rows / (4 * conc));
-}
-
 } // namespace
 
 uint64_t
 gemmParallelMacThreshold()
 {
     return kParallelMacThreshold;
+}
+
+void
+parallelRows(size_t rows, uint64_t macs,
+             const std::function<void(size_t, size_t)> &fn)
+{
+    if (macs < kParallelMacThreshold)
+        return fn(0, rows);
+    // ~4 chunks per thread even out load under dynamic claiming; at the
+    // threshold even a 128^3 GEMM gives each chunk >= 4 rows of ~16k
+    // MACs (~2 us), two orders of magnitude above the claim cost.
+    const size_t conc = ThreadPool::globalConcurrency();
+    parallelFor(0, rows, std::max<size_t>(1, rows / (4 * conc)), fn);
 }
 
 /*
@@ -70,13 +66,9 @@ matmul(const Matrix &a, const Matrix &b)
     const size_t m = a.rows(), k = a.cols(), n = b.cols();
     Matrix c(m, n);
     const auto &kt = activeGemmKernels();
-    auto rowBlock = [&](size_t i0, size_t i1) {
+    parallelRows(m, gemmMacs(m, k, n), [&](size_t i0, size_t i1) {
         kt.matmulRows(a, b, c, i0, i1);
-    };
-    if (gemmMacs(m, k, n) < kParallelMacThreshold)
-        rowBlock(0, m);
-    else
-        parallelFor(0, m, gemmGrain(m), rowBlock);
+    });
     return c;
 }
 
@@ -88,13 +80,9 @@ matmulBT(const Matrix &a, const Matrix &b)
     const size_t m = a.rows(), k = a.cols(), n = b.rows();
     Matrix c(m, n);
     const auto &kt = activeGemmKernels();
-    auto rowBlock = [&](size_t i0, size_t i1) {
+    parallelRows(m, gemmMacs(m, k, n), [&](size_t i0, size_t i1) {
         kt.matmulBTRows(a, b, c, i0, i1);
-    };
-    if (gemmMacs(m, k, n) < kParallelMacThreshold)
-        rowBlock(0, m);
-    else
-        parallelFor(0, m, gemmGrain(m), rowBlock);
+    });
     return c;
 }
 
@@ -106,13 +94,9 @@ matmulAT(const Matrix &a, const Matrix &b)
     const size_t m = a.cols(), k = a.rows(), n = b.cols();
     Matrix c(m, n);
     const auto &kt = activeGemmKernels();
-    auto rowBlock = [&](size_t i0, size_t i1) {
+    parallelRows(m, gemmMacs(m, k, n), [&](size_t i0, size_t i1) {
         kt.matmulATRows(a, b, c, i0, i1);
-    };
-    if (gemmMacs(m, k, n) < kParallelMacThreshold)
-        rowBlock(0, m);
-    else
-        parallelFor(0, m, gemmGrain(m), rowBlock);
+    });
     return c;
 }
 

@@ -17,6 +17,8 @@
  */
 #pragma once
 
+#include <functional>
+
 #include "tensor/matrix.hpp"
 
 namespace dota {
@@ -126,9 +128,18 @@ uint64_t gemmMacs(size_t m, size_t k, size_t n);
 
 /**
  * MAC count below which a GEMM-shaped kernel runs serially (the
- * measured fork/join crossover; see ops.cpp). Shared with the sparse
- * attention kernels so both layers parallelize consistently.
+ * measured fork/join crossover; see ops.cpp).
  */
 uint64_t gemmParallelMacThreshold();
+
+/**
+ * The row partition of every row-wise kernel (the GEMMs, the int8 GEMM,
+ * the row attention kernel): @p fn(r0, r1) once over [0, rows) below
+ * gemmParallelMacThreshold() MACs of work, else over parallelFor chunks.
+ * Every row belongs to one chunk, so the bits do not depend on the
+ * thread count.
+ */
+void parallelRows(size_t rows, uint64_t macs,
+                  const std::function<void(size_t, size_t)> &fn);
 
 } // namespace dota

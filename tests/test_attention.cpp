@@ -279,37 +279,5 @@ TEST(Attention, InputGradCheckDense)
     }
 }
 
-TEST(Attention, CausalMaskCachedAcrossSameLengthForwards)
-{
-    // Regression: the causal mask used to be rebuilt (an n x n
-    // allocation) on every forward; it is now cached per length.
-    Rng rng(88);
-    MultiHeadAttention attn("a", 0, 8, 2, rng, /*causal=*/true);
-    const Matrix x = Matrix::randomNormal(6, 8, rng);
-    EXPECT_EQ(attn.causalMaskBuilds(), 0u);
-
-    const Matrix first = attn.forward(x);
-    EXPECT_EQ(attn.causalMaskBuilds(), 1u);
-    const Matrix second = attn.forward(x);
-    const Matrix third = attn.forward(x);
-    EXPECT_EQ(attn.causalMaskBuilds(), 1u)
-        << "same-length forwards must reuse the cached causal mask";
-    EXPECT_TRUE(Matrix::allClose(first, second, 0.0f));
-    EXPECT_TRUE(Matrix::allClose(first, third, 0.0f));
-
-    // A different length rebuilds once, then caches again.
-    const Matrix y = Matrix::randomNormal(4, 8, rng);
-    attn.forward(y);
-    EXPECT_EQ(attn.causalMaskBuilds(), 2u);
-    attn.forward(y);
-    EXPECT_EQ(attn.causalMaskBuilds(), 2u);
-
-    // The cached mask itself is the exact lower-triangular pattern.
-    const Matrix &m = attn.cachedCausalMask(4);
-    for (size_t r = 0; r < 4; ++r)
-        for (size_t c = 0; c < 4; ++c)
-            EXPECT_EQ(m(r, c), c <= r ? 1.0f : 0.0f);
-}
-
 } // namespace
 } // namespace dota

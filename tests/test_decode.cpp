@@ -41,85 +41,12 @@ TEST(KvCache, AppendGrows)
     EXPECT_FLOAT_EQ(cache.v(0, 0), 2.0f);
 }
 
-TEST(KvCache, MassTracksAttentionAndStaysInSync)
-{
-    CausalLM model(lmCfg());
-    DecodeState state;
-    state.reset(model.config().layers);
-    const std::vector<int> ids{3, 7, 1, 12, 5};
-    for (int tok : ids)
-        decodeStep(model, state, tok);
-    const size_t heads = lmCfg().heads;
-    for (const KvCache &cache : state.layers) {
-        ASSERT_EQ(cache.mass.size(), cache.length());
-        // Each decode step distributes `heads` units of softmax mass
-        // over the cached positions; 5 steps deposit 5 * heads total.
-        double total = 0.0;
-        for (double m : cache.mass) {
-            EXPECT_GE(m, 0.0);
-            total += m;
-        }
-        EXPECT_NEAR(total, double(ids.size() * heads), 1e-3);
-    }
-}
-
-TEST(KvCache, EvictWeakKeepsStrongestInCausalOrder)
-{
-    KvCache cache;
-    for (int i = 0; i < 5; ++i) {
-        Matrix k(1, 4, float(i)), v(1, 4, float(10 + i));
-        cache.append(k, v);
-    }
-    cache.mass = {0.9, 0.1, 0.5, 0.1, 0.7};
-    EXPECT_EQ(evictWeak(cache, 3), 2u);
-    ASSERT_EQ(cache.length(), 3u);
-    // Survivors are rows 0, 2, 4 (top mass), compacted in causal order.
-    EXPECT_FLOAT_EQ(cache.k(0, 0), 0.0f);
-    EXPECT_FLOAT_EQ(cache.k(1, 0), 2.0f);
-    EXPECT_FLOAT_EQ(cache.k(2, 0), 4.0f);
-    EXPECT_FLOAT_EQ(cache.v(1, 0), 12.0f);
-    EXPECT_EQ(cache.mass, (std::vector<double>{0.9, 0.5, 0.7}));
-    // Ties keep the older position: 0.1 vs 0.1 would drop the newer.
-    KvCache tied;
-    for (int i = 0; i < 3; ++i) {
-        Matrix k(1, 2, float(i)), v(1, 2, float(i));
-        tied.append(k, v);
-    }
-    tied.mass = {0.1, 0.1, 0.1};
-    EXPECT_EQ(evictWeak(tied, 2), 1u);
-    EXPECT_FLOAT_EQ(tied.k(0, 0), 0.0f);
-    EXPECT_FLOAT_EQ(tied.k(1, 0), 1.0f);
-    // keep >= length is a no-op.
-    EXPECT_EQ(evictWeak(tied, 5), 0u);
-}
-
-TEST(KvCache, EvictWeakStateShrinksKvBytesAndDecodingContinues)
-{
-    CausalLM model(lmCfg());
-    DecodeState state;
-    state.reset(model.config().layers);
-    for (int t = 0; t < 12; ++t)
-        decodeStep(model, state, t % 20);
-    const size_t before = kvBytes(state);
-    EXPECT_GT(before, 0u);
-    const size_t evicted = evictWeak(state, 0.5);
-    // ceil(0.5 * 12) = 6 kept per layer, 6 evicted per layer.
-    EXPECT_EQ(evicted, 6u * lmCfg().layers);
-    for (const KvCache &cache : state.layers)
-        EXPECT_EQ(cache.length(), 6u);
-    EXPECT_EQ(kvBytes(state), before / 2);
-    // The session keeps decoding on the compacted cache.
-    const Matrix logits = decodeStep(model, state, 3);
-    ASSERT_EQ(logits.rows(), 1u);
-    for (size_t c = 0; c < logits.cols(); ++c)
-        EXPECT_TRUE(std::isfinite(logits(0, c)));
-}
-
 TEST(Decode, MatchesFullForwardDense)
 {
-    // Decode reads K/V in place through the same dot / broadcast-FMA
-    // kernels as the full forward's dense path, so every logit of
-    // every step equals the full forward's row bit for bit.
+    // Decode runs the row kernel on the cache in place; its score,
+    // softmax and A*V stages keep the dense path's per-element order,
+    // so every logit of every step equals the full forward's row bit
+    // for bit.
     CausalLM model(lmCfg());
     const std::vector<int> ids{3, 7, 1, 12, 5, 9, 0, 4};
     const Matrix full = model.forward(ids);

@@ -135,6 +135,27 @@ TEST(Int8Infer, DecodeStepBitIdenticalToFullSequence)
     }
 }
 
+TEST(Int8Infer, KvAppendGrowsGeometrically)
+{
+    // Decode appends one row per token: the code arrays must grow in
+    // amortized O(1) per row, not reallocate (and copy) on every append.
+    const size_t d = 256, heads = 4;
+    Rng rng(97);
+    const Matrix row = Matrix::randomNormal(1, d, rng);
+    Int8KvCache cache;
+    const int8_t *last = nullptr;
+    size_t moves = 0;
+    for (int t = 0; t < 512; ++t) {
+        cache.append(row, row, heads, 0.05f, 0.05f);
+        moves += cache.k_codes.data() != last;
+        last = cache.k_codes.data();
+    }
+    EXPECT_EQ(cache.len, 512u);
+    EXPECT_EQ(cache.k_codes.size(), 512 * d);
+    EXPECT_EQ(cache.k_head_sums.size(), 512 * heads);
+    EXPECT_LE(moves, 16u);
+}
+
 TEST(Int8Infer, GenerateIsDeterministic)
 {
     CausalLM model(lmConfig());

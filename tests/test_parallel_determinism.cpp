@@ -15,6 +15,8 @@
 #include "detect/detector.hpp"
 #include "device/fleet.hpp"
 #include "nn/attention.hpp"
+#include "nn/infer_block.hpp"
+#include "nn/int8_infer.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/rows_attention.hpp"
 #include "tensor/sparse_mask.hpp"
@@ -362,6 +364,42 @@ TEST(ParallelDeterminism, SparseAttentionBitIdentical)
     for (const SparseMask &m : attn.lastMasks())
         EXPECT_GE(m.nnz() * head_dim, gemmParallelMacThreshold());
     EXPECT_TRUE(bitIdentical(serial, parallel));
+}
+
+TEST(ParallelDeterminism, InferBlockRowsBitIdentical)
+{
+    // Multi-row block steps (calibration, prefill, int8Forward) run
+    // their query rows under the row kernel's parallelFor, in both
+    // precisions. The sequence is long enough for one causal head's kept
+    // keys x head dim to reach the parallel branch.
+    TransformerConfig mc;
+    mc.dim = 128;
+    mc.heads = 2;
+    mc.layers = 1;
+    mc.ffn_dim = 128;
+    mc.vocab = 32;
+    mc.max_seq = 256;
+    mc.seed = 2079;
+    CausalLM model(mc);
+    const size_t n = mc.max_seq;
+    ASSERT_GE(n * (n + 1) / 2 * mc.headDim(), gemmParallelMacThreshold());
+    Rng rng(2080);
+    std::vector<int> ids(n);
+    for (int &id : ids)
+        id = static_cast<int>(rng.uniformInt(mc.vocab));
+
+    auto [fp_serial, fp_parallel] = atBothThreadCounts([&] {
+        KvCache cache;
+        BlockStep step;
+        step.cache = &cache;
+        return inferBlock(*model.blocks()[0], model.embed(ids), step);
+    });
+    EXPECT_TRUE(bitIdentical(fp_serial, fp_parallel));
+
+    const Int8Plan plan = quantizeLM(model, calibrateLM(model, {ids}));
+    auto [int8_serial, int8_parallel] =
+        atBothThreadCounts([&] { return int8Forward(model, plan, ids); });
+    EXPECT_TRUE(bitIdentical(int8_serial, int8_parallel));
 }
 
 TEST(ParallelDeterminism, DetectorMasksBitIdentical)

@@ -181,8 +181,19 @@ TEST(SimdKernels, PortableAndAvx2TablesBitIdentical)
         EXPECT_TRUE(bitIdentical(e_p, e_v))
             << "matmulATRows " << m << "x" << k << "x" << n;
 
-        EXPECT_EQ(portable.dot(a.row(0), a.row(0), k),
-                  avx2.dot(a.row(0), a.row(0), k));
+        // One query row against every key row of bt, descending ids:
+        // the 4-key tiles, the tail, and the matmulBT elements.
+        std::vector<uint32_t> ids(n);
+        for (size_t j = 0; j < n; ++j)
+            ids[j] = static_cast<uint32_t>(n - 1 - j);
+        std::vector<float> s_p(n), s_v(n);
+        portable.sparseScoreRow(a.row(0), bt.data(), k, k, ids.data(), n,
+                                s_p.data());
+        avx2.sparseScoreRow(a.row(0), bt.data(), k, k, ids.data(), n,
+                            s_v.data());
+        EXPECT_EQ(s_p, s_v) << "sparseScoreRow " << k << "x" << n;
+        for (size_t j = 0; j < n; ++j)
+            EXPECT_EQ(s_p[j], d_p(0, ids[j])) << "key " << ids[j];
     }
 }
 
@@ -212,8 +223,8 @@ TEST(SimdKernels, SparseScoresMatchDenseAtKeptCoordinates)
             std::vector<float> s(n);
             for (size_t r = 0; r < n; ++r) {
                 const std::vector<uint32_t> &ids = mask.row(r);
-                kt->sparseScoreRow(q.row(r), k, ids.data(), ids.size(),
-                                   s.data());
+                kt->sparseScoreRow(q.row(r), k.data(), d, d, ids.data(),
+                                   ids.size(), s.data());
                 for (size_t t = 0; t < ids.size(); ++t)
                     EXPECT_EQ(s[t], dense(r, ids[t]))
                         << "row " << r << " col " << ids[t];

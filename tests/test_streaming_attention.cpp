@@ -6,16 +6,19 @@
  * per-element operation order, so every comparison with the dense
  * reference here is bitwise: unmasked, causal and DOTA top-k masks,
  * full and empty mask rows, the SIMD micro-tile edges of the score and
- * A*V kernels, and more keys than queries. Then the resolveAttnBackend
+ * A*V kernels, more keys than queries (end-aligned causal rows) and
+ * heads read in place from strided blocks. Then the resolveAttnBackend
  * table and the sparse path through MultiHeadAttention.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "nn/attention.hpp"
 #include "nn/attention_backend.hpp"
+#include "tensor/gemm_kernels.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/rows_attention.hpp"
 #include "tensor/topk.hpp"
@@ -40,15 +43,25 @@ denseRef(const Matrix &q, const Matrix &k, const Matrix &v, float sc,
     return matmul(a, v);
 }
 
-/** Keys [0, min(r, cols - 1)] of every row r. */
+/** Keys [0, cols - rows + r] of every row r: the end-aligned triangle. */
 Matrix
 causalOnes(size_t rows, size_t cols)
 {
     Matrix m(rows, cols);
     for (size_t r = 0; r < rows; ++r)
-        for (size_t c = 0; c <= r && c < cols; ++c)
+        for (size_t c = 0; c <= cols - rows + r; ++c)
             m(r, c) = 1.0f;
     return m;
+}
+
+/** Columns [off, off + w) of @p m: one head of an n x d matrix. */
+Matrix
+headCols(const Matrix &m, size_t off, size_t w)
+{
+    Matrix out(m.rows(), w);
+    for (size_t r = 0; r < m.rows(); ++r)
+        std::copy(m.row(r) + off, m.row(r) + off + w, out.row(r));
+    return out;
 }
 
 float
@@ -92,11 +105,16 @@ TEST(StreamingAttention, MatchesDenseCausal)
 
 TEST(StreamingAttention, ComposesWithDotaMask)
 {
+    // Square, then more keys than queries, as a block step calls the
+    // kernel against its cache. Each head is read in place from the
+    // n x d / m x d matrices and written into its columns of Z. Unmasked
+    // causal rows see the end-aligned keys [0, m - n + r]; a mask
+    // replaces that bound, so `causal` must not change a masked result.
+    // The row stages are also replayed on each kernel table.
     Rng rng(903);
-    const size_t d = 16;
-    const float sc = attnScale(d);
-    // Square, then more keys than queries (a mask replaces the causal
-    // bound, so `causal` must not change the result).
+    const size_t heads = 3, dh = 16, d = heads * dh;
+    const float sc = attnScale(dh);
+    const GemmKernelTable *portable = &detail::portableGemmKernels();
     for (const auto &[n, m] : {std::pair<size_t, size_t>{48, 48},
                                std::pair<size_t, size_t>{19, 53}}) {
         const Matrix q = Matrix::randomNormal(n, d, rng);
@@ -104,11 +122,50 @@ TEST(StreamingAttention, ComposesWithDotaMask)
         const Matrix v = Matrix::randomNormal(m, d, rng);
         const SparseMask mask = topkProxyMask(n, m, 12, rng);
         const Matrix dense_mask = mask.toDense();
-        const Matrix ref = denseRef(q, k, v, sc, &dense_mask);
-        for (bool causal : {false, true})
-            EXPECT_TRUE(
-                bitIdentical(rowsAttention(q, k, v, &mask, causal, sc), ref))
-                << n << "x" << m << " causal=" << causal;
+        const Matrix causal_mask = causalOnes(n, m);
+        std::vector<uint32_t> all(m);
+        std::iota(all.begin(), all.end(), 0u);
+        for (const auto &[keep, causal] :
+             {std::pair<const SparseMask *, bool>{nullptr, true},
+              {&mask, false},
+              {&mask, true}}) {
+            Matrix z(n, d);
+            for (size_t h = 0; h < heads; ++h) {
+                const size_t off = h * dh;
+                const Matrix ref =
+                    denseRef(headCols(q, off, dh), headCols(k, off, dh),
+                             headCols(v, off, dh), sc,
+                             keep ? &dense_mask : &causal_mask);
+                rowsAttention(q, k, v, off, dh, z, keep, causal, sc);
+                EXPECT_TRUE(bitIdentical(headCols(z, off, dh), ref))
+                    << n << "x" << m << " head " << h
+                    << " masked=" << (keep != nullptr)
+                    << " causal=" << causal;
+
+                for (const GemmKernelTable *kt :
+                     {portable, &gemmKernels(SimdIsa::Avx2)}) {
+                    Matrix out(n, dh);
+                    std::vector<float> p(m);
+                    for (size_t r = 0; r < n; ++r) {
+                        const uint32_t *ids =
+                            keep ? keep->row(r).data() : all.data();
+                        const size_t cnt =
+                            keep ? keep->row(r).size() : m - n + r + 1;
+                        kt->sparseScoreRow(q.row(r) + off, k.data() + off,
+                                           d, dh, ids, cnt, p.data());
+                        for (size_t t = 0; t < cnt; ++t)
+                            p[t] *= sc;
+                        softmaxInPlace(p.data(), cnt);
+                        kt->sparseAvRow(p.data(), ids, cnt, v.data() + off,
+                                        d, dh, out.row(r));
+                    }
+                    EXPECT_TRUE(bitIdentical(out, ref))
+                        << n << "x" << m << " head " << h
+                        << " masked=" << (keep != nullptr)
+                        << (kt == portable ? " portable" : " avx2");
+                }
+            }
+        }
     }
 }
 
