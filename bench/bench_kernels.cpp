@@ -19,6 +19,7 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -399,7 +400,6 @@ runSmoke()
 int
 runDetectedMhaSmoke()
 {
-    ScopedAttnChoice pin(AttnChoice::Auto);
     const TransformerConfig mc = detectorBenchModel();
     DotaDetector det(mc, inferenceDetectorConfig());
     Rng rng(12);
@@ -414,7 +414,9 @@ runDetectedMhaSmoke()
         attn.setHook(&det);
         const double tdet =
             bestSeconds([&] { return attn.forward(x); }, reps);
-        if (!attn.lastForwardSparse()) {
+        const std::vector<AttnBackendKind> &paths = attn.lastBackends();
+        if (std::find(paths.begin(), paths.end(), AttnBackendKind::Dense) !=
+            paths.end()) {
             std::fprintf(stderr, "smoke: FAIL — the detected forward did "
                                  "not take the sparse path\n");
             return 1;

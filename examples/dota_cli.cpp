@@ -9,12 +9,11 @@
  *            [--mode full|conservative|aggressive]
  *            [--device <key>|list] [--lanes N] [--parallelism T]
  *            [--dataflow ooo|inorder|rowbyrow|streaming]
- *            [--attn auto|dense|sparse|list] [--sigma S]
- *            [--bits B] [--overlap] [--generation] [--csv]
+ *            [--sigma S] [--bits B] [--overlap] [--generation] [--csv]
  *
- * The software attention backend (DESIGN.md §13) is picked by --attn
- * or the DOTA_ATTN environment variable; unknown values print the
- * backend table and exit 2, mirroring --device.
+ * Every numeric value is checked whole, against the bounds the library
+ * asserts (for example --lanes >= 1, --parallelism in [1, 16]); a bad
+ * one exits 2 with a one-line error and the usage.
  *
  * Online-serving mode (src/serve/): replay a seeded arrival trace on a
  * fleet of the selected device under an optional fault plan:
@@ -55,9 +54,12 @@
  *   dota_cli --serve --arrival-rate 400 --requests 200 \
  *            --fault-plan "kill:0@100,revive:0@400,transient:0.02"
  */
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <type_traits>
 
 #include "common/strutil.hpp"
 #include "core/dota.hpp"
@@ -71,7 +73,6 @@ struct CliOptions
 {
     std::string benchmark = "Text";
     std::string device = "dota";
-    std::string attn;      ///< empty: keep DOTA_ATTN / auto resolution
     std::string precision; ///< empty = fp32 (FX16 datapath)
     DotaMode mode = DotaMode::Conservative;
     size_t lanes = 24;
@@ -111,7 +112,6 @@ usage()
         "                [--device <key>|list] [--lanes N]\n"
         "                [--parallelism T] [--dataflow ooo|inorder|"
         "rowbyrow|streaming]\n"
-        "                [--attn auto|dense|sparse|list]\n"
         "                [--precision fp32|int8|list]\n"
         "                [--sigma S] [--bits 2|4|8] [--overlap]\n"
         "                [--generation] [--trace] [--csv]\n"
@@ -144,6 +144,35 @@ usage()
     std::exit(2);
 }
 
+/**
+ * The value @p v of numeric flag @p flag: the whole string parsed as a T
+ * (no sign on unsigned counts, no trailing text, nothing non-finite),
+ * within the bounds the library asserts: at least @p lo (above it when
+ * @p above) and at most @p hi. A bad value exits 2 with a one-line error
+ * and the usage.
+ */
+template <typename T>
+T
+numberArg(const std::string &flag, const std::string &v, T lo = 0,
+          T hi = std::numeric_limits<T>::max(), bool above = false)
+{
+    T out{};
+    const char *end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+    // NaN fails every comparison, and infinity the upper bound.
+    if (ec == std::errc() && ptr == end && (above ? out > lo : out >= lo) &&
+        out <= hi)
+        return out;
+    std::cerr << "error: " << flag << " takes "
+              << (std::is_integral_v<T> ? "a whole number" : "a number");
+    if (hi < std::numeric_limits<T>::max())
+        std::cerr << " in " << (above ? "(" : "[") << lo << ", " << hi << "]";
+    else
+        std::cerr << (above ? " > " : " >= ") << lo;
+    std::cerr << ", not '" << v << "'\n";
+    usage();
+}
+
 CliOptions
 parse(int argc, char **argv)
 {
@@ -174,8 +203,6 @@ parse(int argc, char **argv)
             opt.benchmark = need(i);
         } else if (arg == "--device") {
             opt.device = toLower(need(i));
-        } else if (arg == "--attn") {
-            opt.attn = toLower(need(i));
         } else if (arg == "--precision") {
             opt.precision = toLower(need(i));
         } else if (arg == "--mode") {
@@ -189,9 +216,10 @@ parse(int argc, char **argv)
             else
                 usage();
         } else if (arg == "--lanes") {
-            opt.lanes = std::stoul(need(i));
+            opt.lanes = numberArg<size_t>(arg, need(i), 1);
         } else if (arg == "--parallelism") {
-            opt.sim.token_parallelism = std::stoul(need(i));
+            opt.sim.token_parallelism =
+                numberArg<size_t>(arg, need(i), 1, kMaxTokenParallelism);
         } else if (arg == "--dataflow") {
             const std::string d = toLower(need(i));
             if (d == "ooo")
@@ -205,19 +233,21 @@ parse(int argc, char **argv)
             else
                 usage();
         } else if (arg == "--sigma") {
-            opt.sim.detector_sigma = std::stod(need(i));
+            opt.sim.detector_sigma = numberArg<double>(arg, need(i));
         } else if (arg == "--bits") {
-            opt.sim.detector_bits = std::stoi(need(i));
+            opt.sim.detector_bits = numberArg<int>(arg, need(i));
         } else if (arg == "--overlap") {
             opt.sim.overlap_detection = true;
         } else if (arg == "--serve") {
             opt.serve = true;
         } else if (arg == "--accelerators") {
-            opt.accelerators = std::stoul(need(i));
+            opt.accelerators = numberArg<size_t>(arg, need(i), 1);
         } else if (arg == "--arrival-rate") {
-            opt.arrivals.rate_per_s = std::stod(need(i));
+            opt.arrivals.rate_per_s = numberArg<double>(
+                arg, need(i), 0.0, std::numeric_limits<double>::max(),
+                /*above=*/true);
         } else if (arg == "--requests") {
-            opt.arrivals.requests = std::stoul(need(i));
+            opt.arrivals.requests = numberArg<size_t>(arg, need(i));
         } else if (arg == "--process") {
             const std::string p = toLower(need(i));
             if (p == "poisson")
@@ -229,33 +259,34 @@ parse(int argc, char **argv)
             else
                 usage();
         } else if (arg == "--arrival-seed") {
-            opt.arrivals.seed = std::stoull(need(i));
+            opt.arrivals.seed = numberArg<uint64_t>(arg, need(i));
         } else if (arg == "--fault-seed") {
-            opt.fault_seed = std::stoull(need(i));
+            opt.fault_seed = numberArg<uint64_t>(arg, need(i));
         } else if (arg == "--fault-plan") {
             opt.fault_plan = need(i);
         } else if (arg == "--timeout-ms") {
-            opt.policy.timeout_ms = std::stod(need(i));
+            opt.policy.timeout_ms = numberArg<double>(arg, need(i));
         } else if (arg == "--retries") {
-            opt.policy.max_retries = std::stoul(need(i));
+            opt.policy.max_retries = numberArg<size_t>(arg, need(i));
         } else if (arg == "--deadline-ms") {
-            opt.arrivals.deadline_ms = std::stod(need(i));
+            opt.arrivals.deadline_ms = numberArg<double>(arg, need(i));
         } else if (arg == "--queue-limit") {
-            opt.policy.queue_limit = std::stoul(need(i));
+            opt.policy.queue_limit = numberArg<size_t>(arg, need(i));
         } else if (arg == "--generate") {
             opt.generate = true;
         } else if (arg == "--out-min") {
-            opt.out_min = std::stoul(need(i));
+            opt.out_min = numberArg<size_t>(arg, need(i), 1);
         } else if (arg == "--out-max") {
-            opt.out_max = std::stoul(need(i));
+            opt.out_max = numberArg<size_t>(arg, need(i), 1);
         } else if (arg == "--kv-budget-mb") {
-            opt.kv.budget_bytes = std::stoul(need(i)) << 20;
+            opt.kv.budget_bytes =
+                numberArg<size_t>(arg, need(i), 1, SIZE_MAX >> 20) << 20;
         } else if (arg == "--page-tokens") {
-            opt.kv.page_tokens = std::stoul(need(i));
+            opt.kv.page_tokens = numberArg<size_t>(arg, need(i), 1);
         } else if (arg == "--max-batch") {
-            opt.batch.max_batch_seqs = std::stoul(need(i));
+            opt.batch.max_batch_seqs = numberArg<size_t>(arg, need(i), 1);
         } else if (arg == "--step-tokens") {
-            opt.batch.max_step_tokens = std::stoul(need(i));
+            opt.batch.max_step_tokens = numberArg<size_t>(arg, need(i), 1);
         } else if (arg == "--no-evict") {
             opt.kv.evict_after_prefill = false;
         } else if (arg == "--no-topk") {
@@ -263,33 +294,33 @@ parse(int argc, char **argv)
         } else if (arg == "--streaming-prefill") {
             opt.batch.streaming_prefill = true;
         } else if (arg == "--watchdog-ms") {
-            opt.batch.watchdog_stall_ms = std::stod(need(i));
+            opt.batch.watchdog_stall_ms = numberArg<double>(arg, need(i));
         } else if (arg == "--no-migration") {
             opt.migrate.enabled = false;
         } else if (arg == "--migration-page-ms") {
-            opt.migrate.page_ms = std::stod(need(i));
+            opt.migrate.page_ms = numberArg<double>(arg, need(i));
         } else if (arg == "--probation-steps") {
-            opt.migrate.probation_steps = std::stoul(need(i));
+            opt.migrate.probation_steps = numberArg<size_t>(arg, need(i));
         } else if (arg == "--probation-seqs") {
-            opt.migrate.probation_seqs = std::stoul(need(i));
+            opt.migrate.probation_seqs = numberArg<size_t>(arg, need(i));
         } else if (arg == "--train") {
             opt.train = true;
         } else if (arg == "--steps") {
-            opt.train_steps = std::stoul(need(i));
+            opt.train_steps = numberArg<size_t>(arg, need(i));
         } else if (arg == "--batch") {
-            opt.train_batch = std::stoul(need(i));
+            opt.train_batch = numberArg<size_t>(arg, need(i), 1);
         } else if (arg == "--train-seed") {
-            opt.train_seed = std::stoull(need(i));
+            opt.train_seed = numberArg<uint64_t>(arg, need(i));
         } else if (arg == "--checkpoint-dir") {
             opt.checkpoint.dir = need(i);
         } else if (arg == "--checkpoint-every") {
-            opt.checkpoint.every = std::stoul(need(i));
+            opt.checkpoint.every = numberArg<size_t>(arg, need(i));
         } else if (arg == "--keep-last") {
-            opt.checkpoint.keep_last = std::stoul(need(i));
+            opt.checkpoint.keep_last = numberArg<size_t>(arg, need(i));
         } else if (arg == "--resume") {
             opt.checkpoint.resume = true;
         } else if (arg == "--kill-at-step") {
-            opt.kill_at_step = std::stol(need(i));
+            opt.kill_at_step = numberArg<long>(arg, need(i));
         } else if (arg == "--generation") {
             opt.generation = true;
         } else if (arg == "--trace") {
@@ -578,46 +609,12 @@ printReport(const RunReport &r, bool csv)
     std::cout << "\n";
 }
 
-/**
- * Resolve the --attn flag / DOTA_ATTN env into the process-wide backend
- * choice, mirroring deviceKey(): unknown values print the backend table
- * and exit 2 (the library alone would warn and fall back to auto — an
- * explicit CLI run should fail loudly instead of silently measuring the
- * wrong backend). "--attn list" prints the table and exits 0.
- */
-void
-applyAttnChoice(const CliOptions &opt)
-{
-    const char *env = std::getenv("DOTA_ATTN");
-    AttnChoice choice = AttnChoice::Auto;
-    if (env != nullptr && !parseAttnChoice(toLower(env), choice)) {
-        std::cerr << "unknown DOTA_ATTN value '" << env
-                  << "'; pick one of these backends:\n";
-        listAttnBackends(std::cerr);
-        std::exit(2);
-    }
-    if (opt.attn.empty())
-        return;
-    if (opt.attn == "list") {
-        listAttnBackends(std::cout);
-        std::exit(0);
-    }
-    if (!parseAttnChoice(opt.attn, choice)) {
-        std::cerr << "unknown --attn value '" << opt.attn
-                  << "'; pick one of these backends:\n";
-        listAttnBackends(std::cerr);
-        std::exit(2);
-    }
-    setAttnChoice(choice);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     CliOptions opt = parse(argc, argv);
-    applyAttnChoice(opt);
     applyPrecision(opt);
     if (opt.device == "list") {
         listDevices(std::cout);

@@ -5,15 +5,21 @@
 #include "common/env.hpp"
 
 #include <cstdlib>
+#include <string>
 
 namespace dota {
 
+namespace {
+
+/** Value of @p name, or "" when unset. */
 std::string
-envString(const char *name, const std::string &fallback)
+envString(const char *name)
 {
     const char *raw = std::getenv(name);
-    return raw ? std::string(raw) : fallback;
+    return raw ? std::string(raw) : std::string();
 }
+
+} // namespace
 
 size_t
 envSizeT(const char *name, size_t fallback)

@@ -10,12 +10,8 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 namespace dota {
-
-/** Value of @p name, or @p fallback when unset. */
-std::string envString(const char *name, const std::string &fallback = "");
 
 /**
  * Non-negative integer value of @p name; @p fallback when unset, empty,

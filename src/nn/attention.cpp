@@ -4,6 +4,7 @@
  */
 #include "nn/attention.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/rows_attention.hpp"
@@ -60,14 +61,14 @@ MultiHeadAttention::forward(const Matrix &x)
     masks_.assign(heads_, SparseMask());
     head_backends_.assign(heads_, AttnBackendKind::Dense);
     z_ = Matrix(n, dim_);
-    sparse_forward_ = false;
 
     // Per-head path (nn/attention_backend.hpp). The sparse path computes
     // scores only at each row's kept keys — the software analogue of the
-    // accelerator omitting weak attentions — with the dense path's bits,
-    // and is only legal when the hook does not need the full S (no
-    // estimation loss to maintain) and no caller forced the dense path.
-    const AttnChoice choice = attnChoice();
+    // accelerator omitting weak attentions — with the dense path's bits.
+    // S and A must be captured when the hook trains on the full S (its
+    // estimation loss) or a caller forced the dense path.
+    const bool capture =
+        force_dense_ || (hook_ != nullptr && hook_->wantsFullScores());
     const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(head_dim_));
     for (size_t h = 0; h < heads_; ++h) {
         // Contiguous head copies: read in place, 1 KiB rows (d = 256) put
@@ -83,12 +84,9 @@ MultiHeadAttention::forward(const Matrix &x)
         // A hook mask replaces the causal constraint, on both paths.
         const SparseMask *mask = masks_[h].empty() ? nullptr : &masks_[h];
 
-        head_backends_[h] = resolveAttnBackend(
-            choice, hook_ != nullptr, hook_ && hook_->wantsFullScores(),
-            force_dense_, mask != nullptr, n);
+        head_backends_[h] = resolveAttnBackend(capture, mask != nullptr, n);
         if (head_backends_[h] == AttnBackendKind::Sparse) {
             // s_raw_[h]/a_[h] stay empty; observeScores skipped.
-            sparse_forward_ = true;
             addHeadSlice(z_, rowsAttention(qh, kh, vh, mask, causal_,
                                            inv_sqrt_dk),
                          h);
@@ -110,7 +108,8 @@ Matrix
 MultiHeadAttention::backward(const Matrix &dy)
 {
     DOTA_ASSERT(!x_.empty(), "backward before forward");
-    DOTA_ASSERT(!sparse_forward_,
+    DOTA_ASSERT(std::find(head_backends_.begin(), head_backends_.end(),
+                          AttnBackendKind::Sparse) == head_backends_.end(),
                 "backward after a sparse inference forward: only the "
                 "dense path caches S/A (the trainers force it)");
     const size_t n = x_.rows();

@@ -7,12 +7,13 @@
  * causal constraint); Z = A V; out = Z W_O. Backward is hand-derived and
  * verified by finite differences in the test suite.
  *
- * Each head runs on one of two paths (nn/attention_backend.hpp),
- * selected at runtime from the hook's needs, the sequence length and
- * the DOTA_ATTN override: dense (S and A materialized) or sparse (the
- * exact row kernel of tensor/rows_attention.hpp, over each query row's
- * kept keys). Both give the same bits; only the dense path captures
- * S/A, so the probe accessors below and backward() depend on it.
+ * Each head runs on one of two paths, picked by one rule from the
+ * hook's needs, its mask and the sequence length
+ * (nn/attention_backend.hpp): dense (S and A materialized) or sparse
+ * (the exact row kernel of tensor/rows_attention.hpp, over each query
+ * row's kept keys). Both give the same bits; only the dense path
+ * captures S/A, so the probe accessors below and backward() depend on
+ * it.
  */
 #pragma once
 
@@ -57,15 +58,9 @@ class MultiHeadAttention : public Module
      * sparse one (wantsFullScores() == false). Measurement code that
      * reads lastScores()/lastAttention() — detection-quality metrics,
      * score-distribution probes — and the trainers (backward needs S/A)
-     * set this around their forwards. Overrides any DOTA_ATTN choice.
+     * set this around their forwards.
      */
     void setForceDense(bool force) { force_dense_ = force; }
-
-    /**
-     * True when the last forward ran any head on the sparse path: S/A
-     * are not cached for those heads and backward() is invalid.
-     */
-    bool lastForwardSparse() const { return sparse_forward_; }
 
     void collectParams(std::vector<Parameter *> &out) override;
 
@@ -93,7 +88,10 @@ class MultiHeadAttention : public Module
      */
     const std::vector<SparseMask> &lastMasks() const { return masks_; }
 
-    /** Path each head of the last forward took. */
+    /**
+     * Path each head of the last forward took. backward() is invalid
+     * when any head took the sparse path.
+     */
     const std::vector<AttnBackendKind> &lastBackends() const
     {
         return head_backends_;
@@ -119,7 +117,6 @@ class MultiHeadAttention : public Module
     Parameter wq_, wk_, wv_, wo_;
     AttentionHook *hook_ = nullptr;
     bool force_dense_ = false;
-    bool sparse_forward_ = false;
 
     // Cached activations for backward.
     Matrix x_, q_, k_, v_, z_;

@@ -58,8 +58,8 @@ struct BlockStep
 /**
  * Run block @p blk over the new rows @p x (q_len x d), appending their
  * K/V to the step's cache; returns the block output (q_len x d). Every
- * row takes the same exact path at any cache length; DOTA_ATTN does not
- * apply here.
+ * row takes the row kernel at any cache length; MultiHeadAttention's
+ * dense/sparse rule does not apply here.
  */
 Matrix inferBlock(EncoderBlock &blk, const Matrix &x, const BlockStep &step);
 

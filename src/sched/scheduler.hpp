@@ -61,6 +61,12 @@ class InOrderScheduler : public Scheduler
                                 size_t base) const override;
 };
 
+/**
+ * Largest token parallelism T the locality-aware Scheduler takes: its
+ * hardware needs 2^T - 1 ID buffers.
+ */
+constexpr size_t kMaxTokenParallelism = 16;
+
 /** Algorithm 1: locality-aware out-of-order scheduling. */
 class LocalityAwareScheduler : public Scheduler
 {
@@ -72,8 +78,9 @@ class LocalityAwareScheduler : public Scheduler
     explicit LocalityAwareScheduler(size_t parallelism)
         : Scheduler(parallelism)
     {
-        DOTA_ASSERT(parallelism >= 1 && parallelism <= 16,
-                    "parallelism {} out of [1, 16]", parallelism);
+        DOTA_ASSERT(parallelism >= 1 && parallelism <= kMaxTokenParallelism,
+                    "parallelism {} out of [1, {}]", parallelism,
+                    kMaxTokenParallelism);
     }
 
     GroupSchedule scheduleGroup(const SparseMask &mask,

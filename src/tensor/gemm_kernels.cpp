@@ -5,8 +5,8 @@
  * per-element reduction contracts of gemm_kernels.hpp in the most
  * literal form, serve as the reference the AVX2 path is tested against
  * bit-for-bit, and run on any architecture. Throughput is secondary —
- * platforms with AVX2/FMA never take this path unless DOTA_SIMD
- * overrides it.
+ * platforms with AVX2/FMA take this path only in a -DDOTA_SIMD=OFF
+ * build, or when a test asks for this table by name.
  */
 #include "tensor/gemm_kernels.hpp"
 

@@ -4,11 +4,6 @@
  */
 #include "tensor/simd.hpp"
 
-#include <cstdio>
-#include <string>
-
-#include "common/env.hpp"
-
 namespace dota {
 
 namespace {
@@ -23,32 +18,21 @@ cpuHasAvx2Fma()
 #endif
 }
 
-SimdIsa
-resolveIsa()
+/** True when the instantiation for @p isa was compiled into the binary. */
+bool
+simdIsaCompiled(SimdIsa isa)
 {
-    const SimdIsa best =
-        simdIsaSupported(SimdIsa::Avx2) ? SimdIsa::Avx2 : SimdIsa::Portable;
-    const std::string v = envString("DOTA_SIMD", "auto");
-    if (v.empty() || v == "auto")
-        return best;
-    if (v == "portable" || v == "off" || v == "scalar" || v == "0")
-        return SimdIsa::Portable;
-    if (v == "avx2") {
-        if (simdIsaSupported(SimdIsa::Avx2))
-            return SimdIsa::Avx2;
-        std::fprintf(stderr,
-                     "dota: DOTA_SIMD=avx2 requested but AVX2/FMA is %s; "
-                     "falling back to the portable kernels\n",
-                     simdIsaCompiled(SimdIsa::Avx2)
-                         ? "not supported by this CPU"
-                         : "not compiled into this binary");
-        return SimdIsa::Portable;
+    switch (isa) {
+    case SimdIsa::Avx2:
+#ifdef DOTA_SIMD_AVX2
+        return true;
+#else
+        return false;
+#endif
+    case SimdIsa::Portable:
+        break;
     }
-    std::fprintf(stderr,
-                 "dota: unknown DOTA_SIMD value '%s' "
-                 "(expected auto|portable|avx2); using auto\n",
-                 v.c_str());
-    return best;
+    return true;
 }
 
 } // namespace
@@ -66,22 +50,6 @@ simdIsaName(SimdIsa isa)
 }
 
 bool
-simdIsaCompiled(SimdIsa isa)
-{
-    switch (isa) {
-    case SimdIsa::Avx2:
-#ifdef DOTA_SIMD_AVX2
-        return true;
-#else
-        return false;
-#endif
-    case SimdIsa::Portable:
-        break;
-    }
-    return true;
-}
-
-bool
 simdIsaSupported(SimdIsa isa)
 {
     if (!simdIsaCompiled(isa))
@@ -92,7 +60,8 @@ simdIsaSupported(SimdIsa isa)
 SimdIsa
 activeSimdIsa()
 {
-    static const SimdIsa isa = resolveIsa();
+    static const SimdIsa isa =
+        simdIsaSupported(SimdIsa::Avx2) ? SimdIsa::Avx2 : SimdIsa::Portable;
     return isa;
 }
 

@@ -6,20 +6,17 @@
  * The dense micro-kernels in gemm_kernels.hpp exist in one portable
  * instantiation (plain C++, std::fma) and, when the toolchain supports
  * it, an AVX2/FMA instantiation compiled into a dedicated translation
- * unit. Which one runs is decided once per process:
+ * unit. The best supported one runs, decided once per process:
  *
  *   1. compile-time: the AVX2 unit is built only under the DOTA_SIMD
  *      CMake option (default ON) on x86 toolchains that accept
  *      -mavx2 -mfma;
- *   2. runtime: the CPU must report avx2+fma support (cpuid);
- *   3. override: the DOTA_SIMD environment variable forces a path —
- *      "auto" (default) picks the best supported ISA, "portable" (also
- *      "off", "scalar", "0") forces the fallback, "avx2" requests AVX2
- *      and degrades to portable with a warning when unavailable.
+ *   2. runtime: the CPU must report avx2+fma support (cpuid).
  *
  * Both instantiations follow the same per-element reduction contracts
  * (gemm_kernels.hpp), so switching paths never changes results — only
- * throughput. Tests pin this by running both tables and comparing bits.
+ * throughput. Tests pin this by running both tables and comparing bits;
+ * a -DDOTA_SIMD=OFF build runs everything on the portable table.
  */
 #pragma once
 
@@ -35,16 +32,12 @@ enum class SimdIsa
 /** Short lowercase name ("portable", "avx2") for reports and logs. */
 const char *simdIsaName(SimdIsa isa);
 
-/** True when the instantiation for @p isa was compiled into the binary. */
-bool simdIsaCompiled(SimdIsa isa);
-
 /** True when @p isa is compiled in AND the running CPU supports it. */
 bool simdIsaSupported(SimdIsa isa);
 
 /**
- * The ISA the dispatched kernels use, resolved once per process from
- * hardware support and the DOTA_SIMD environment override (see file
- * comment).
+ * The ISA the dispatched kernels use: the fastest one simdIsaSupported()
+ * accepts, resolved once per process.
  */
 SimdIsa activeSimdIsa();
 

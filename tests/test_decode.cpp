@@ -73,7 +73,6 @@ TEST(Decode, MatchesFullForwardAtLongContext)
     for (size_t t = 0; t < ids.size(); ++t)
         ids[t] = static_cast<int>((t * 7 + t / 13) % cfg.vocab);
 
-    ScopedAttnChoice pin(AttnChoice::Auto);
     const Matrix full = model.forward(ids);
     for (const auto &blk : model.blocks())
         for (AttnBackendKind kind : blk->attention().lastBackends())

@@ -158,7 +158,6 @@ TEST(Trainer, AdaptsThroughInferenceHook)
     // layers take the sparse path, which caches no S/A for backward. The
     // trainers keep their own forwards dense, so adaptation through such
     // a hook trains; the next forward after training is sparse again.
-    ScopedAttnChoice pin(AttnChoice::Auto);
     DetectorConfig dc;
     dc.retention = 0.25;
     dc.sigma = 0.5;
@@ -187,7 +186,8 @@ TEST(Trainer, AdaptsThroughInferenceHook)
     EXPECT_TRUE(std::isfinite(trainer.train()));
     model.forward(task.sample(rng).features);
     for (auto &blk : model.blocks())
-        EXPECT_TRUE(blk->attention().lastForwardSparse());
+        for (AttnBackendKind kind : blk->attention().lastBackends())
+            EXPECT_EQ(kind, AttnBackendKind::Sparse);
     model.setHook(nullptr);
 
     TransformerConfig lc = mc;
@@ -204,7 +204,8 @@ TEST(Trainer, AdaptsThroughInferenceHook)
     EXPECT_TRUE(std::isfinite(lm_trainer.train()));
     lm.forward(grammar.sample(rng));
     for (auto &blk : lm.blocks())
-        EXPECT_TRUE(blk->attention().lastForwardSparse());
+        for (AttnBackendKind kind : blk->attention().lastBackends())
+            EXPECT_EQ(kind, AttnBackendKind::Sparse);
     lm.setHook(nullptr);
 }
 

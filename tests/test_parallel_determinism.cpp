@@ -356,10 +356,10 @@ TEST(ParallelDeterminism, SparseAttentionBitIdentical)
     attn.setHook(&det);
     const Matrix x = Matrix::randomNormal(512, mc.dim, rng);
 
-    ScopedAttnChoice pin(AttnChoice::Auto);
     auto [serial, parallel] =
         atBothThreadCounts([&] { return attn.forward(x); });
-    EXPECT_TRUE(attn.lastForwardSparse());
+    for (AttnBackendKind kind : attn.lastBackends())
+        EXPECT_EQ(kind, AttnBackendKind::Sparse);
     const size_t head_dim = mc.dim / mc.heads;
     for (const SparseMask &m : attn.lastMasks())
         EXPECT_GE(m.nnz() * head_dim, gemmParallelMacThreshold());

@@ -362,9 +362,6 @@ class FixedMaskHook : public AttentionHook
 
 TEST(SimdKernels, AttentionSparsePathBitIdenticalToForcedDense)
 {
-    // Pin the sparse path so a DOTA_ATTN=dense environment cannot
-    // turn the comparison into dense against dense.
-    ScopedAttnChoice pin(AttnChoice::Sparse);
     Rng rng(50);
     const size_t n = 40, dim = 32, heads = 4;
     MultiHeadAttention attn("t", 0, dim, heads, rng);
@@ -375,14 +372,19 @@ TEST(SimdKernels, AttentionSparsePathBitIdenticalToForcedDense)
 
     attn.setForceDense(true);
     const Matrix dense = attn.forward(x);
-    EXPECT_FALSE(attn.lastForwardSparse());
+    ASSERT_EQ(attn.lastBackends().size(), heads);
+    for (AttnBackendKind kind : attn.lastBackends())
+        EXPECT_EQ(kind, AttnBackendKind::Dense);
     const int observe_dense = hook.observe_calls;
     EXPECT_EQ(observe_dense, static_cast<int>(heads));
 
+    // A masking inference hook takes every head to the row kernel...
     attn.setForceDense(false);
     const Matrix sparse = attn.forward(x);
-    EXPECT_TRUE(attn.lastForwardSparse());
-    // observeScores is skipped on the sparse path...
+    ASSERT_EQ(attn.lastBackends().size(), heads);
+    for (AttnBackendKind kind : attn.lastBackends())
+        EXPECT_EQ(kind, AttnBackendKind::Sparse);
+    // ...observeScores is skipped there...
     EXPECT_EQ(hook.observe_calls, observe_dense);
     // ...the score/probability caches stay empty...
     for (size_t h = 0; h < heads; ++h) {

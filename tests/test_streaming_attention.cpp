@@ -8,7 +8,7 @@
  * full and empty mask rows, the SIMD micro-tile edges of the score and
  * A*V kernels, more keys than queries (end-aligned causal rows) and
  * heads read in place from strided blocks. Then the resolveAttnBackend
- * table and the sparse path through MultiHeadAttention.
+ * table.
  */
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include <cstring>
 #include <numeric>
 
-#include "nn/attention.hpp"
 #include "nn/attention_backend.hpp"
 #include "tensor/gemm_kernels.hpp"
 #include "tensor/ops.hpp"
@@ -242,140 +241,32 @@ TEST(StreamingAttention, TileBoundaryShapes)
 
 // ------------------------------------------------------- path selection
 
-TEST(AttnBackend, ParseAndNames)
-{
-    AttnChoice c = AttnChoice::Dense;
-    EXPECT_TRUE(parseAttnChoice("auto", c));
-    EXPECT_EQ(c, AttnChoice::Auto);
-    EXPECT_TRUE(parseAttnChoice("dense", c));
-    EXPECT_EQ(c, AttnChoice::Dense);
-    EXPECT_TRUE(parseAttnChoice("sparse", c));
-    EXPECT_EQ(c, AttnChoice::Sparse);
-    EXPECT_FALSE(parseAttnChoice("streaming", c));
-    EXPECT_FALSE(parseAttnChoice("flash", c));
-    EXPECT_FALSE(parseAttnChoice("int8", c)); // int8 is a plan, not a path
-    EXPECT_FALSE(parseAttnChoice("", c));
-    EXPECT_EQ(c, AttnChoice::Sparse); // rejected values leave it untouched
-
-    EXPECT_EQ(attnBackendName(AttnBackendKind::Dense), std::string("dense"));
-    EXPECT_EQ(attnBackendName(AttnBackendKind::Sparse),
-              std::string("sparse"));
-    for (AttnChoice choice :
-         {AttnChoice::Auto, AttnChoice::Dense, AttnChoice::Sparse}) {
-        AttnChoice parsed = AttnChoice::Auto;
-        EXPECT_TRUE(parseAttnChoice(attnChoiceName(choice), parsed));
-        EXPECT_EQ(parsed, choice);
-    }
-}
-
-TEST(AttnBackend, ScopedChoiceRestores)
-{
-    const AttnChoice before = attnChoice();
-    {
-        ScopedAttnChoice pin(AttnChoice::Sparse);
-        EXPECT_EQ(attnChoice(), AttnChoice::Sparse);
-        {
-            ScopedAttnChoice inner(AttnChoice::Dense);
-            EXPECT_EQ(attnChoice(), AttnChoice::Dense);
-        }
-        EXPECT_EQ(attnChoice(), AttnChoice::Sparse);
-    }
-    EXPECT_EQ(attnChoice(), before);
-}
-
 TEST(AttnBackend, ResolutionTable)
 {
     using K = AttnBackendKind;
-    using C = AttnChoice;
     const size_t short_n = kLongContextSeqLen - 1, long_n = kLongContextSeqLen;
 
-    // Every choice x hook (none / inference hook without a mask /
-    // inference hook with a mask) x n on both sides of the threshold.
+    // The one rule over capture x masked x n on both sides of the
+    // threshold: capturing S/A wins, then a mask or a long context takes
+    // the row kernel, and a short unmasked head stays on the GEMMs.
     struct Row
     {
-        C choice;
-        bool hook, mask;
-        K short_kind, long_kind;
+        bool capture, masked;
+        size_t n;
+        K kind;
     };
     const Row rows[] = {
-        {C::Auto, false, false, K::Dense, K::Sparse},
-        {C::Auto, true, false, K::Dense, K::Sparse},
-        {C::Auto, true, true, K::Sparse, K::Sparse},
-        {C::Dense, false, false, K::Dense, K::Dense},
-        {C::Dense, true, false, K::Dense, K::Dense},
-        {C::Dense, true, true, K::Dense, K::Dense},
-        // Sparse needs a hook or a long context: short hook-free
-        // forwards (training, gradcheck) keep their S/A.
-        {C::Sparse, false, false, K::Dense, K::Sparse},
-        {C::Sparse, true, false, K::Sparse, K::Sparse},
-        {C::Sparse, true, true, K::Sparse, K::Sparse},
+        {false, false, short_n, K::Dense}, {false, false, long_n, K::Sparse},
+        {false, true, short_n, K::Sparse}, {false, true, long_n, K::Sparse},
+        {true, false, short_n, K::Dense},  {true, false, long_n, K::Dense},
+        {true, true, short_n, K::Dense},   {true, true, long_n, K::Dense},
     };
-    for (const Row &r : rows) {
-        EXPECT_EQ(resolveAttnBackend(r.choice, r.hook, false, false, r.mask,
-                                     short_n),
-                  r.short_kind)
-            << attnChoiceName(r.choice) << " hook=" << r.hook
-            << " mask=" << r.mask << " short";
-        EXPECT_EQ(resolveAttnBackend(r.choice, r.hook, false, false, r.mask,
-                                     long_n),
-                  r.long_kind)
-            << attnChoiceName(r.choice) << " hook=" << r.hook
-            << " mask=" << r.mask << " long";
-        // Hooks that want full scores and force-dense probes always win.
-        for (size_t n : {short_n, long_n}) {
-            if (r.hook) {
-                EXPECT_EQ(resolveAttnBackend(r.choice, true, true, false,
-                                             r.mask, n),
-                          K::Dense);
-            }
-            EXPECT_EQ(resolveAttnBackend(r.choice, r.hook, false, true,
-                                         r.mask, n),
-                      K::Dense);
-        }
-    }
-}
-
-/** Inference-only hook serving a fixed mask (the sparse path is legal). */
-class MaskOnlyHook : public AttentionHook
-{
-  public:
-    explicit MaskOnlyHook(Matrix mask) : mask_(std::move(mask)) {}
-    void beginLayer(size_t, const Matrix &) override {}
-    Matrix selectMask(size_t, size_t, bool) override { return mask_; }
-    void observeScores(size_t, size_t, const Matrix &) override {}
-    Matrix scoreGradient(size_t, size_t) override { return {}; }
-    bool wantsFullScores() const override { return false; }
-
-  private:
-    Matrix mask_;
-};
-
-TEST(AttnBackend, SparseThroughMultiHeadAttention)
-{
-    Rng rng(910);
-    const size_t n = 40, dim = 32, heads = 4;
-    MultiHeadAttention attn("t", 0, dim, heads, rng);
-    const Matrix x = Matrix::randomNormal(n, dim, rng);
-    const Matrix proxy = Matrix::randomNormal(n, n, rng);
-    MaskOnlyHook hook(topkMask(proxy, 10));
-    attn.setHook(&hook);
-
-    attn.setForceDense(true);
-    const Matrix dense = attn.forward(x);
-    EXPECT_FALSE(attn.lastForwardSparse());
-    attn.setForceDense(false);
-
-    // A masking inference hook takes the row kernel under auto and
-    // sparse alike, with the forced-dense bits.
-    for (AttnChoice choice : {AttnChoice::Auto, AttnChoice::Sparse}) {
-        ScopedAttnChoice pin(choice);
-        const Matrix sparse = attn.forward(x);
-        EXPECT_TRUE(attn.lastForwardSparse());
-        ASSERT_EQ(attn.lastBackends().size(), heads);
-        for (AttnBackendKind kind : attn.lastBackends())
-            EXPECT_EQ(kind, AttnBackendKind::Sparse);
-        EXPECT_TRUE(bitIdentical(sparse, dense)) << attnChoiceName(choice);
-    }
+    for (const Row &r : rows)
+        EXPECT_EQ(resolveAttnBackend(r.capture, r.masked, r.n), r.kind)
+            << "capture=" << r.capture << " masked=" << r.masked
+            << " n=" << r.n;
+    // The benchmark's context line names the one policy.
+    EXPECT_STREQ(attnChoiceName(attnChoice()), "auto");
 }
 
 } // namespace
