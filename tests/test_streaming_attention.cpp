@@ -8,7 +8,7 @@
  * full and empty mask rows, the SIMD micro-tile edges of the score and
  * A*V kernels, more keys than queries (end-aligned causal rows) and
  * heads read in place from strided blocks. Then the resolveAttnBackend
- * table.
+ * table and the sparse path through MultiHeadAttention.
  */
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include <cstring>
 #include <numeric>
 
+#include "nn/attention.hpp"
 #include "nn/attention_backend.hpp"
 #include "tensor/gemm_kernels.hpp"
 #include "tensor/ops.hpp"
@@ -267,6 +268,59 @@ TEST(AttnBackend, ResolutionTable)
             << " n=" << r.n;
     // The benchmark's context line names the one policy.
     EXPECT_STREQ(attnChoiceName(attnChoice()), "auto");
+}
+
+/** Inference-only hook serving a fixed mask (the sparse path is legal). */
+class MaskOnlyHook : public AttentionHook
+{
+  public:
+    explicit MaskOnlyHook(Matrix mask) : mask_(std::move(mask)) {}
+    void beginLayer(size_t, const Matrix &) override {}
+    Matrix selectMask(size_t, size_t, bool) override { return mask_; }
+    void observeScores(size_t, size_t, const Matrix &) override {}
+    Matrix scoreGradient(size_t, size_t) override { return {}; }
+    bool wantsFullScores() const override { return false; }
+
+  private:
+    Matrix mask_;
+};
+
+TEST(AttnBackend, SparseThroughMultiHeadAttention)
+{
+    Rng rng(910);
+    const size_t n = 40, dim = 32, heads = 4;
+    MultiHeadAttention attn("t", 0, dim, heads, rng);
+    const Matrix x = Matrix::randomNormal(n, dim, rng);
+    const Matrix proxy = Matrix::randomNormal(n, n, rng);
+    MaskOnlyHook hook(topkMask(proxy, 10));
+    attn.setHook(&hook);
+
+    attn.setForceDense(true);
+    const Matrix dense = attn.forward(x);
+    ASSERT_EQ(attn.lastBackends().size(), heads);
+    for (AttnBackendKind kind : attn.lastBackends())
+        EXPECT_EQ(kind, AttnBackendKind::Dense);
+    attn.setForceDense(false);
+
+    // A masking inference hook takes the row kernel, with the
+    // forced-dense bits.
+    const Matrix sparse = attn.forward(x);
+    ASSERT_EQ(attn.lastBackends().size(), heads);
+    for (AttnBackendKind kind : attn.lastBackends())
+        EXPECT_EQ(kind, AttnBackendKind::Sparse);
+    EXPECT_TRUE(bitIdentical(sparse, dense));
+
+    // An empty mask ("no omission") or no hook at all keeps a short
+    // context on the GEMMs.
+    MaskOnlyHook no_omission{Matrix()};
+    for (AttentionHook *h : {static_cast<AttentionHook *>(&no_omission),
+                             static_cast<AttentionHook *>(nullptr)}) {
+        attn.setHook(h);
+        attn.forward(x);
+        ASSERT_EQ(attn.lastBackends().size(), heads);
+        for (AttnBackendKind kind : attn.lastBackends())
+            EXPECT_EQ(kind, AttnBackendKind::Dense) << (h ? "empty" : "none");
+    }
 }
 
 } // namespace
