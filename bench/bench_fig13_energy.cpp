@@ -49,7 +49,7 @@ main()
     // Section 5.4 breakdown statements, plus the quantized-datapath
     // column (DESIGN.md §16): the same layer with the RMMU running
     // INT8 (4x MACs/PE, 1-byte operand/KV traffic, 0.27 pJ/MAC).
-    System::Options i8_opt;
+    DeviceOptions i8_opt;
     i8_opt.sim.datapath = Precision::INT8;
     System sys_i8(i8_opt);
 

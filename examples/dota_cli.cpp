@@ -480,6 +480,15 @@ runGenerate(const CliOptions &opt)
     const GenTrace trace = generateGenTrace(tc);
     const FaultPlan plan = faultPlanOrDie(opt);
     GenerationEngine engine(ec, bench);
+    // Each flag passes its own bound, but together they must fit one
+    // page in the budget (compared in tokens: the page's bytes can wrap).
+    if (ec.kv.page_tokens > ec.kv.budget_bytes / engine.bytesPerToken()) {
+        std::cerr << "error: --kv-budget-mb (" << ec.kv.budget_bytes
+                  << " B) holds no page of --page-tokens ("
+                  << ec.kv.page_tokens << ") x " << engine.bytesPerToken()
+                  << " B/token\n";
+        usage();
+    }
     std::cout << "generating for " << trace.requests.size() << " "
               << bench.name << " prompts ("
               << arrivalProcessName(opt.arrivals.process) << " "

@@ -73,11 +73,9 @@ main()
     double first_makespan = 0.0;
     double eight_makespan = 0.0;
     for (size_t n : {1u, 2u, 4u, 8u}) {
-        FleetConfig fc;
-        fc.accelerators = n;
-        SimOptions opt;
-        opt.mode = DotaMode::Conservative;
-        FleetSimulator fleet(fc, bench, opt);
+        FleetSimulator fleet({DeviceSpec{"dota-c", n, 1.0,
+                                         DeviceOptions::table2()}},
+                             bench);
         const FleetReport r = fleet.run(batch);
         if (n == 1)
             first_makespan = r.makespan_ms;
@@ -98,11 +96,9 @@ main()
     d.header({"mode", "makespan", "throughput", "energy/seq"});
     for (DotaMode mode : {DotaMode::Full, DotaMode::Conservative,
                           DotaMode::Aggressive}) {
-        FleetConfig fc;
-        fc.accelerators = 4;
-        SimOptions opt;
-        opt.mode = mode;
-        FleetSimulator fleet(fc, bench, opt);
+        FleetSimulator fleet({DeviceSpec{dotaModeKey(mode), 4, 1.0,
+                                         DeviceOptions::table2()}},
+                             bench);
         const FleetReport r = fleet.run(batch);
         d.addRow({dotaModeName(mode), fmtNum(r.makespan_ms, 2) + "ms",
                   fmtNum(r.throughput_seq_s, 1) + " seq/s",
@@ -114,13 +110,13 @@ main()
                  "attentions.\n\n";
 
     // Heterogeneous fleet: mixed device kinds and speed bins, one batch.
-    FleetConfig het;
-    het.devices = {
-        DeviceSpec{"dota-c", 2, 1.0, DeviceOptions::table2()},
-        DeviceSpec{"dota-c", 1, 1.5, DeviceOptions::table2()},
-        DeviceSpec{"dota-f", 1, 1.0, DeviceOptions::table2()},
-    };
-    FleetSimulator mixed(het, bench);
+    const FleetSimulator mixed(
+        {
+            DeviceSpec{"dota-c", 2, 1.0, DeviceOptions::table2()},
+            DeviceSpec{"dota-c", 1, 1.5, DeviceOptions::table2()},
+            DeviceSpec{"dota-f", 1, 1.0, DeviceOptions::table2()},
+        },
+        bench);
     const FleetReport hr = mixed.run(batch);
     Table h("heterogeneous fleet (2x DOTA-C, 1x DOTA-C @1.5x, "
             "1x DOTA-F)");
@@ -155,8 +151,8 @@ main()
     tc.seed = 42;            // arrival seed
     tc.deadline_ms = 150.0;
     ServeConfig sc;
-    sc.accelerators = 8;
-    sc.mode = DotaMode::Full; // full retention until pressure mounts
+    // Full retention until pressure mounts.
+    sc.devices = {DeviceSpec{"dota-f", 8, 1.0, DeviceOptions::table2()}};
     sc.policy.timeout_ms = 80.0;
     sc.policy.max_retries = 3;
     sc.policy.queue_limit = 96;
@@ -226,8 +222,7 @@ main()
     gc.out_min = 96;
     gc.out_max = 256;
     EngineConfig ec;
-    ec.accelerators = 3;
-    ec.mode = DotaMode::Full;
+    ec.devices = {DeviceSpec{"dota-f", 3, 1.0, DeviceOptions::table2()}};
     ec.batch.max_batch_seqs = 4;
     ec.batch.watchdog_stall_ms = 25.0;
     ec.policy.degrade_depth_1 = 3.0;

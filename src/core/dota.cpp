@@ -27,22 +27,7 @@ attentionEnergyJ(const RunReport &r)
 
 } // namespace
 
-System::System() : System(Options{}) {}
-
-System::System(Options opt) : opt_(opt) {}
-
-DeviceOptions
-System::deviceOptions() const
-{
-    DeviceOptions dev;
-    dev.hw = opt_.scale_for_gpu ? HwConfig::dotaScaledForGpu()
-                                : HwConfig::dota();
-    dev.energy = opt_.energy;
-    dev.sim = opt_.sim;
-    dev.gpu = opt_.gpu;
-    dev.elsa = opt_.elsa;
-    return dev;
-}
+System::System(DeviceOptions opt) : opt_(std::move(opt)) {}
 
 const Device &
 System::device(const std::string &key) const
@@ -50,10 +35,7 @@ System::device(const std::string &key) const
     std::lock_guard<std::mutex> lk(mu_);
     auto it = devices_.find(key);
     if (it == devices_.end())
-        it = devices_
-                 .emplace(key, DeviceRegistry::create(key,
-                                                      deviceOptions()))
-                 .first;
+        it = devices_.emplace(key, DeviceRegistry::create(key, opt_)).first;
     return *it->second;
 }
 
@@ -61,13 +43,6 @@ const DotaAccelerator &
 System::accelerator() const
 {
     return dynamic_cast<const DotaDevice &>(device("dota-c"))
-        .accelerator();
-}
-
-const ElsaAccelerator &
-System::elsa() const
-{
-    return dynamic_cast<const ElsaDevice &>(device("elsa"))
         .accelerator();
 }
 
@@ -83,24 +58,12 @@ System::run(BenchmarkId id, DotaMode mode) const
     return run(id, dotaModeKey(mode));
 }
 
-RunReport
-System::runGpu(BenchmarkId id) const
-{
-    return run(id, "gpu-v100");
-}
-
-RunReport
-System::runElsa(BenchmarkId id) const
-{
-    return run(id, "elsa");
-}
-
 System::Comparison
 System::compare(BenchmarkId id) const
 {
     const Benchmark &bench = benchmark(id);
-    const RunReport gpu = runGpu(id);
-    const RunReport elsa = runElsa(id);
+    const RunReport gpu = run(id, "gpu-v100");
+    const RunReport elsa = run(id, "elsa");
     const RunReport cons = run(id, "dota-c");
     const RunReport aggr = run(id, "dota-a");
 

@@ -12,7 +12,7 @@
  *
  * Quick start (see examples/quickstart.cpp):
  *
- *   dota::System system;                       // Table 2 fabric
+ *   dota::System system;                       // 12 TOPS fabric
  *   auto cmp = system.compare(dota::BenchmarkId::Text);
  *   std::cout << cmp.attention_speedup_c << "x attention speedup\n";
  *
@@ -75,34 +75,17 @@ namespace dota {
 class System
 {
   public:
-    /** System-level options. */
-    struct Options
-    {
-        /**
-         * Scale the DOTA/ELSA fabrics to GPU-comparable peak throughput
-         * (12 TOPS, Section 5.1). Leave false for Table 2 scale.
-         */
-        bool scale_for_gpu = true;
-        SimOptions sim;
-        GpuConfig gpu = GpuConfig::v100();
-        ElsaConfig elsa = ElsaConfig::iscaDefault();
-        EnergyModel energy = EnergyModel::tsmc22();
-    };
-
-    System();
-    explicit System(Options opt);
+    /**
+     * Every device is built from @p opt; the default is the 12 TOPS
+     * fabric of Section 5.1, DeviceOptions::table2() the Table 2 part.
+     */
+    explicit System(DeviceOptions opt = DeviceOptions{});
 
     /** Run @p id on the device registered under @p device_key. */
     RunReport run(BenchmarkId id, const std::string &device_key) const;
 
     /** Run @p id on the DOTA accelerator in @p mode. */
     RunReport run(BenchmarkId id, DotaMode mode) const;
-
-    /** Run the dense GPU baseline (key "gpu-v100"). */
-    RunReport runGpu(BenchmarkId id) const;
-
-    /** Run the reconstructed ELSA accelerator (key "elsa"). */
-    RunReport runElsa(BenchmarkId id) const;
 
     /** The paper's headline comparison numbers for one benchmark. */
     struct Comparison
@@ -128,15 +111,11 @@ class System
      * (created on first use, then cached). */
     const Device &device(const std::string &key) const;
 
-    /** DeviceOptions equivalent to this System's Options. */
-    DeviceOptions deviceOptions() const;
-
+    /** The DOTA-C accelerator model. */
     const DotaAccelerator &accelerator() const;
-    const ElsaAccelerator &elsa() const;
-    const Options &options() const { return opt_; }
 
   private:
-    Options opt_;
+    DeviceOptions opt_;
     mutable std::mutex mu_;
     mutable std::map<std::string, std::unique_ptr<Device>> devices_;
 };

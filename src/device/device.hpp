@@ -7,12 +7,12 @@
  * the reconstructed ELSA accelerator, the V100 roofline model, and any
  * future backend. Devices are created by string key through
  * DeviceRegistry (registry.hpp), so fleets, CLIs and comparison tables
- * can mix backends without compile-time knowledge of them; adding a new
- * device model is a one-file change (see DESIGN.md §8).
+ * can mix backends without compile-time knowledge of them; a new device
+ * model is its adapter plus one entry in the registry.cpp table (see
+ * DESIGN.md §8).
  */
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "baselines/elsa_sim.hpp"
@@ -31,8 +31,8 @@ struct DeviceOptions
 {
     /**
      * Fabric for the DOTA/ELSA accelerators. Defaults to the
-     * GPU-comparable 12 TOPS scale of Section 5.1 (the System facade's
-     * historical default); use table2() for the 2 TOPS Table 2 part.
+     * GPU-comparable 12 TOPS scale of Section 5.1, the fabric every GPU
+     * comparison uses; table2() gives the 2 TOPS Table 2 part.
      */
     HwConfig hw = HwConfig::dotaScaledForGpu();
     EnergyModel energy = EnergyModel::tsmc22();
@@ -68,12 +68,6 @@ class Device
 
     /** Report label, e.g. "DOTA-C" / "ELSA" / "GPU-V100". */
     virtual std::string name() const = 0;
-
-    /** Peak throughput in TOP/s (1 MAC = 1 op for the accelerators). */
-    virtual double peakTopS() const = 0;
-
-    /** Deep copy (fleets replicate a configured device by cloning). */
-    virtual std::unique_ptr<Device> clone() const = 0;
 };
 
 } // namespace dota

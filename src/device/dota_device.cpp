@@ -40,10 +40,4 @@ DotaDevice::simulateGeneration(const Benchmark &bench) const
     return accel_.simulateGeneration(bench, sim_);
 }
 
-std::unique_ptr<Device>
-DotaDevice::clone() const
-{
-    return std::make_unique<DotaDevice>(*this);
-}
-
 } // namespace dota

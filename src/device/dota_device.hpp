@@ -21,8 +21,6 @@ class DotaDevice : public Device
     RunReport simulate(const Benchmark &bench) const override;
     RunReport simulateGeneration(const Benchmark &bench) const override;
     std::string name() const override { return dotaModeName(mode_); }
-    double peakTopS() const override { return accel_.hw().peakTops(); }
-    std::unique_ptr<Device> clone() const override;
 
     DotaMode mode() const { return mode_; }
     const DotaAccelerator &accelerator() const { return accel_; }

@@ -27,16 +27,6 @@ class ElsaDevice : public Device
 
     std::string name() const override { return "ELSA"; }
 
-    double peakTopS() const override { return accel_.hw().peakTops(); }
-
-    std::unique_ptr<Device>
-    clone() const override
-    {
-        return std::make_unique<ElsaDevice>(*this);
-    }
-
-    const ElsaAccelerator &accelerator() const { return accel_; }
-
   private:
     ElsaAccelerator accel_;
 };

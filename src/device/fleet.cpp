@@ -7,27 +7,14 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
-#include "device/dota_device.hpp"
 
 namespace dota {
 
-FleetSimulator::FleetSimulator(FleetConfig cfg, const Benchmark &bench,
-                               SimOptions opt)
+FleetSimulator::FleetSimulator(const std::vector<DeviceSpec> &devices,
+                               const Benchmark &bench)
     : costs_(bench)
 {
-    std::vector<DeviceSpec> specs = std::move(cfg.devices);
-    if (specs.empty()) {
-        // Legacy homogeneous path: N identical DOTA accelerators built
-        // from the scalar FleetConfig fields and the SimOptions.
-        DeviceSpec spec;
-        spec.key = dotaModeKey(opt.mode);
-        spec.count = cfg.accelerators;
-        spec.opts.hw = cfg.accelerator;
-        spec.opts.energy = cfg.energy;
-        spec.opts.sim = opt;
-        specs.push_back(std::move(spec));
-    }
-    for (const DeviceSpec &spec : specs) {
+    for (const DeviceSpec &spec : devices) {
         DOTA_ASSERT(spec.count >= 1, "device spec needs count >= 1");
         DOTA_ASSERT(spec.speed > 0.0, "device speed must be positive");
         const size_t group =
@@ -62,13 +49,6 @@ FleetSimulator::sequenceEnergyJ(size_t seq_len, size_t accel) const
     return costs_.cost(group_of_[accel], 0, seq_len).energy_j;
 }
 
-void
-FleetSimulator::warmLatencyCache(
-    const std::vector<size_t> &seq_lens) const
-{
-    costs_.warm(seq_lens);
-}
-
 FleetReport
 FleetSimulator::run(const std::vector<size_t> &seq_lens) const
 {
@@ -81,7 +61,7 @@ FleetSimulator::run(const std::vector<size_t> &seq_lens) const
     if (seq_lens.empty())
         return report;
 
-    warmLatencyCache(seq_lens);
+    costs_.warm(seq_lens);
 
     // Per-job service time on every accelerator (speed-aware), plus the
     // unscaled energy per cache group.

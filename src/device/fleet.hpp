@@ -26,7 +26,7 @@
 
 namespace dota {
 
-/** One slot of a heterogeneous fleet: @p count clones of one device. */
+/** One slot of a fleet: @p count accelerators sharing one device. */
 struct DeviceSpec
 {
     std::string key = "dota-c"; ///< DeviceRegistry key
@@ -38,22 +38,6 @@ struct DeviceSpec
      */
     double speed = 1.0;
     DeviceOptions opts;
-};
-
-/** Fleet configuration. */
-struct FleetConfig
-{
-    /**
-     * Heterogeneous fleet description. When empty, a homogeneous DOTA
-     * fleet of `accelerators` copies is built from the legacy fields
-     * below and the SimOptions handed to the constructor.
-     */
-    std::vector<DeviceSpec> devices;
-
-    // Legacy homogeneous-DOTA knobs.
-    size_t accelerators = 4;
-    HwConfig accelerator = HwConfig::dota();
-    EnergyModel energy = EnergyModel::tsmc22();
 };
 
 /** Outcome of one batch dispatch. */
@@ -76,16 +60,9 @@ struct FleetReport
 class FleetSimulator
 {
   public:
-    /**
-     * @param cfg    fleet composition (heterogeneous specs or the
-     *               legacy homogeneous fields)
-     * @param bench  model/benchmark every sequence runs
-     * @param opt    DOTA simulation options, used by the legacy
-     *               homogeneous path (cfg.devices empty); heterogeneous
-     *               slots carry their own DeviceOptions
-     */
-    FleetSimulator(FleetConfig cfg, const Benchmark &bench,
-                   SimOptions opt = SimOptions{});
+    /** Fleet of @p devices, every sequence running @p bench. */
+    FleetSimulator(const std::vector<DeviceSpec> &devices,
+                   const Benchmark &bench);
 
     /** Fleet from pre-built devices (one accelerator each, speed 1). */
     FleetSimulator(std::vector<std::unique_ptr<Device>> devices,
@@ -100,13 +77,6 @@ class FleetSimulator
 
     /** Single-sequence energy on accelerator @p accel (not speed-scaled). */
     double sequenceEnergyJ(size_t seq_len, size_t accel = 0) const;
-
-    /**
-     * Evaluate (in parallel) and cache the cost of every distinct
-     * (device, length) pair in @p seq_lens. run() calls this first;
-     * exposed so callers can pre-warm the cache explicitly.
-     */
-    void warmLatencyCache(const std::vector<size_t> &seq_lens) const;
 
     /**
      * Dispatch @p seq_lens greedily: longest job first onto the

@@ -28,17 +28,6 @@ class GpuDevice : public Device
 
     std::string name() const override { return "GPU-V100"; }
 
-    /** TOPS-equivalent peak (the roofline's compute ceiling). */
-    double peakTopS() const override { return cfg_.peak_tflops; }
-
-    std::unique_ptr<Device>
-    clone() const override
-    {
-        return std::make_unique<GpuDevice>(*this);
-    }
-
-    const GpuConfig &config() const { return cfg_; }
-
   private:
     GpuConfig cfg_;
 };

@@ -4,6 +4,7 @@
  */
 #include "device/registry.hpp"
 
+#include <functional>
 #include <map>
 
 #include "common/logging.hpp"
@@ -19,13 +20,13 @@ namespace {
 struct Entry
 {
     std::string description;
-    DeviceRegistry::Factory factory;
+    std::function<std::unique_ptr<Device>(const DeviceOptions &)> factory;
 };
 
-std::map<std::string, Entry> &
+const std::map<std::string, Entry> &
 table()
 {
-    static std::map<std::string, Entry> entries = [] {
+    static const std::map<std::string, Entry> entries = [] {
         std::map<std::string, Entry> t;
         auto dotaFactory = [](DotaMode mode) {
             return [mode](const DeviceOptions &opt) {
@@ -97,18 +98,6 @@ std::string
 DeviceRegistry::describe(const std::string &key)
 {
     return lookup(key).description;
-}
-
-bool
-DeviceRegistry::registerDevice(const std::string &key,
-                               const std::string &description,
-                               Factory factory)
-{
-    const auto [it, inserted] =
-        table().emplace(key, Entry{description, std::move(factory)});
-    if (!inserted)
-        DOTA_FATAL("device key '{}' registered twice", key);
-    return true;
 }
 
 } // namespace dota

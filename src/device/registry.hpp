@@ -9,27 +9,23 @@
  *   elsa      ELSA accelerator (attention block only)
  *   gpu-v100  dense V100 GPU roofline
  *
- * New backends register themselves with registerDevice() — typically
- * from a static initializer in their own translation unit — and become
- * available to the System facade, the fleet simulator and dota_cli
- * without further plumbing.
+ * A new backend is one more entry in the table in registry.cpp; it is
+ * then available to the System facade, the fleets and dota_cli without
+ * further plumbing.
  */
 #pragma once
 
-#include <functional>
+#include <memory>
 #include <vector>
 
 #include "device/device.hpp"
 
 namespace dota {
 
-/** Factory registry; all members are static (process-wide registry). */
+/** Factory registry; all members are static (one fixed table). */
 class DeviceRegistry
 {
   public:
-    using Factory =
-        std::function<std::unique_ptr<Device>(const DeviceOptions &)>;
-
     /** Instantiate the device registered under @p key; fatal() if
      * unknown. */
     static std::unique_ptr<Device>
@@ -44,14 +40,6 @@ class DeviceRegistry
 
     /** One-line description of the device behind @p key. */
     static std::string describe(const std::string &key);
-
-    /**
-     * Register a backend. Returns true (so it can initialize a static
-     * bool); duplicate keys are a fatal() configuration error.
-     */
-    static bool registerDevice(const std::string &key,
-                               const std::string &description,
-                               Factory factory);
 };
 
 } // namespace dota

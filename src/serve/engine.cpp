@@ -29,25 +29,35 @@ namespace {
 constexpr size_t kProbeLo = 128;
 constexpr size_t kProbeHi = 1024;
 
+/** Fixed per-step launch overhead (kernel dispatch, bookkeeping). */
+constexpr double kStepOverheadMs = 0.05;
+
+/**
+ * Preemptions one sequence may survive before it fails (restart thrash
+ * guard). A sequence that OOMs alone on a device fails immediately —
+ * retrying deterministically reproduces the OOM.
+ */
+constexpr size_t kMaxPreemptions = 2;
+
+/**
+ * Post-prefill eviction keeps min(kEvictRetention, ladder retention) of
+ * the prompt's KV entries; each decode step then attends to
+ * min(kTopkRetention, ladder retention) of the survivors.
+ */
+constexpr double kEvictRetention = 0.5;
+constexpr double kTopkRetention = 0.5;
+
 } // namespace
 
 GenerationEngine::GenerationEngine(EngineConfig cfg,
                                    const Benchmark &bench)
     : cfg_(std::move(cfg)),
-      sim_(ServeConfig{cfg_.devices, cfg_.accelerators, cfg_.mode,
-                       cfg_.options, cfg_.policy},
-           bench)
+      sim_(ServeConfig{cfg_.devices, cfg_.policy}, bench)
 {
     DOTA_ASSERT(cfg_.batch.max_batch_seqs >= 1,
                 "batch needs at least one sequence slot");
     DOTA_ASSERT(cfg_.batch.max_step_tokens >= 1,
                 "step token budget must be positive");
-    DOTA_ASSERT(cfg_.kv.evict_retention > 0.0 &&
-                    cfg_.kv.evict_retention <= 1.0,
-                "evict_retention must be in (0, 1]");
-    DOTA_ASSERT(cfg_.kv.topk_retention > 0.0 &&
-                    cfg_.kv.topk_retention <= 1.0,
-                "topk_retention must be in (0, 1]");
     const ModelShape &shape = bench.paper_shape;
     bytes_per_token_ =
         cfg_.kv.bytes_per_token > 0
@@ -90,8 +100,7 @@ GenerationEngine::evictKeepFraction(size_t accel, size_t level) const
 {
     if (!cfg_.kv.evict_after_prefill || !slotHasDetector(accel))
         return 1.0;
-    return std::min(cfg_.kv.evict_retention,
-                    sim_.retention(accel, level));
+    return std::min(kEvictRetention, sim_.retention(accel, level));
 }
 
 double
@@ -99,8 +108,7 @@ GenerationEngine::topkFraction(size_t accel, size_t level) const
 {
     if (!cfg_.kv.dynamic_topk || !slotHasDetector(accel))
         return 1.0;
-    return std::min(cfg_.kv.topk_retention,
-                    sim_.retention(accel, level));
+    return std::min(kTopkRetention, sim_.retention(accel, level));
 }
 
 void
@@ -645,7 +653,7 @@ class EngineRun
         admitQueued(a, now, used_tokens);
         if (d.running.empty())
             return;
-        double dur = bp_.step_overhead_ms;
+        double dur = kStepOverheadMs;
         for (const Running &r : d.running) {
             if (r.prefill)
                 // One chunk's cost under streaming prefill (the full
@@ -888,7 +896,7 @@ class EngineRun
         d.alloc->freeSeq(id);
         d.running.erase(d.running.begin() + static_cast<ptrdiff_t>(vi));
         ++gen_.preemptions;
-        if (++reqs_[id].preemptions > bp_.max_preemptions) {
+        if (++reqs_[id].preemptions > kMaxPreemptions) {
             failRequest(id, now, false);
             return;
         }

@@ -15,12 +15,12 @@
  *
  * The DOTA detector is repurposed as the KV-eviction policy, the
  * RocketKV recipe at serving grain: after prefill, only the strongest
- * `evict_retention` fraction of the prompt's KV entries is kept (weak
- * attentions are omitted from memory, not just from compute), and each
- * decode step attends to a dynamic top-k of the surviving entries. Both
- * fractions are further tightened by the degradation ladder — under
- * queue pressure deeper ladder levels now shrink KV footprints as well
- * as service time. Only DOTA slots evict (a GPU slot has no detector).
+ * half of the prompt's KV entries is kept (weak attentions are omitted
+ * from memory, not just from compute), and each decode step attends to
+ * a dynamic top-k of half the surviving entries. Both fractions are
+ * further tightened by the degradation ladder — under queue pressure
+ * deeper ladder levels now shrink KV footprints as well as service
+ * time. Only DOTA slots evict (a GPU slot has no detector).
  *
  * A run is one EngineRun (engine.cpp) with one handler per event type,
  * on the ServeLoop skeleton it shares with ServingSimulator::run
@@ -67,16 +67,6 @@ struct BatchPolicy
      * untouched.
      */
     bool streaming_prefill = false;
-
-    /** Fixed per-step launch overhead (kernel dispatch, bookkeeping). */
-    double step_overhead_ms = 0.05;
-
-    /**
-     * Preemptions one sequence may survive before it fails (restart
-     * thrash guard). A sequence that OOMs alone on a device fails
-     * immediately — retrying deterministically reproduces the OOM.
-     */
-    size_t max_preemptions = 2;
 
     /**
      * Fairness bound: no queued request may wait more than this many
@@ -150,20 +140,15 @@ struct KvPolicy
     size_t bytes_per_token = 0;
 
     /**
-     * Post-prefill eviction: keep min(evict_retention, ladder
-     * retention) of the prompt KV entries, so 1.0 still evicts where
-     * the ladder retention is below 1 (dota-c, deeper levels).
+     * Post-prefill eviction (false keeps every prompt entry): keep
+     * min(0.5, ladder retention) of the prompt's KV entries.
      */
-    double evict_retention = 0.5;
+    bool evict_after_prefill = true;
 
     /**
-     * Dynamic top-k decode: fraction of the surviving KV entries each
-     * decode step attends to, min(topk_retention, ladder retention).
+     * Dynamic top-k decode (false attends to every entry): each decode
+     * step attends to min(0.5, ladder retention) of the survivors.
      */
-    double topk_retention = 0.5;
-
-    /** The switches: false turns eviction / dynamic top-k off. */
-    bool evict_after_prefill = true;
     bool dynamic_topk = true;
 };
 
@@ -172,9 +157,6 @@ struct EngineConfig
 {
     /** Same fleet description as ServeConfig. */
     std::vector<DeviceSpec> devices;
-    size_t accelerators = 4;
-    DotaMode mode = DotaMode::Full;
-    DeviceOptions options = DeviceOptions::table2();
 
     /**
      * Honored: queue_limit, degradation and degrade_depth_*, max_retries

@@ -48,10 +48,13 @@ PagedKvAllocator::PagedKvAllocator(KvCacheConfig cfg) : cfg_(cfg)
     DOTA_ASSERT(cfg_.page_tokens >= 1, "page needs at least one token");
     DOTA_ASSERT(cfg_.bytes_per_token >= 1,
                 "KV bytes per token must be positive");
+    // Compared in tokens: pageBytes() may wrap for a huge page.
+    DOTA_ASSERT(cfg_.page_tokens <=
+                    cfg_.budget_bytes / cfg_.bytes_per_token,
+                "KV budget {} B holds no page of {} tokens x {} B",
+                cfg_.budget_bytes, cfg_.page_tokens,
+                cfg_.bytes_per_token);
     total_pages_ = cfg_.budget_bytes / pageBytes();
-    DOTA_ASSERT(total_pages_ >= 1,
-                "KV budget {} B holds no page of {} B",
-                cfg_.budget_bytes, pageBytes());
     for (size_t p = 0; p < total_pages_; ++p)
         free_.insert(static_cast<uint32_t>(p));
     pages_.resize(total_pages_);

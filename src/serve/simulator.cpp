@@ -29,19 +29,11 @@ constexpr size_t kLadderLen = sizeof(kLadder) / sizeof(kLadder[0]);
 
 } // namespace
 
-ServingSimulator::ServingSimulator(ServeConfig cfg,
+ServingSimulator::ServingSimulator(const ServeConfig &cfg,
                                    const Benchmark &bench)
     : policy_(cfg.policy), costs_(bench)
 {
-    std::vector<DeviceSpec> specs = std::move(cfg.devices);
-    if (specs.empty()) {
-        DeviceSpec spec;
-        spec.key = dotaModeKey(cfg.mode);
-        spec.count = cfg.accelerators;
-        spec.opts = cfg.options;
-        specs.push_back(std::move(spec));
-    }
-    for (const DeviceSpec &spec : specs) {
+    for (const DeviceSpec &spec : cfg.devices) {
         DOTA_ASSERT(spec.count >= 1, "device spec needs count >= 1");
         DOTA_ASSERT(spec.speed > 0.0, "device speed must be positive");
         // The native device, plus — for DOTA parts — every ladder mode

@@ -43,14 +43,8 @@ namespace dota {
 /** Fleet + policy of a serving deployment. */
 struct ServeConfig
 {
-    /**
-     * Fleet description (same DeviceSpec bins as FleetConfig). When
-     * empty, `accelerators` DOTA devices of `mode` are built.
-     */
+    /** Fleet description: the FleetSimulator's DeviceSpec bins. */
     std::vector<DeviceSpec> devices;
-    size_t accelerators = 4;
-    DotaMode mode = DotaMode::Full;
-    DeviceOptions options = DeviceOptions::table2();
 
     ServePolicy policy;
 };
@@ -59,7 +53,7 @@ struct ServeConfig
 class ServingSimulator
 {
   public:
-    ServingSimulator(ServeConfig cfg, const Benchmark &bench);
+    ServingSimulator(const ServeConfig &cfg, const Benchmark &bench);
 
     /**
      * Replay @p trace under @p plan. All random fault draws come from

@@ -27,8 +27,6 @@ allFinite(const Matrix &m)
 bool
 StepGuard::shouldSkip(double loss, const std::vector<Parameter *> &params)
 {
-    if (!cfg_.enabled)
-        return false;
     bool bad = false;
     if (!std::isfinite(loss)) {
         ++stats_.nonfinite_loss_steps;

@@ -31,9 +31,6 @@ namespace dota {
 /** Guard-rail policy knobs. */
 struct GuardRailConfig
 {
-    /** Master switch; off restores the unguarded historical loop. */
-    bool enabled = true;
-
     /**
      * Abort (fatal) after this many *consecutive* skipped steps: the
      * model state is unrecoverable by skipping alone.
@@ -69,7 +66,7 @@ class StepGuard
     void
     afterStep(const Adam &opt)
     {
-        if (cfg_.enabled && opt.lastStepClipped())
+        if (opt.lastStepClipped())
             ++stats_.clipped_steps;
     }
 

@@ -193,8 +193,8 @@ inline ServeConfig
 smallFleet(size_t accelerators = 4)
 {
     ServeConfig sc;
-    sc.accelerators = accelerators;
-    sc.mode = DotaMode::Full;
+    sc.devices = {
+        DeviceSpec{"dota-f", accelerators, 1.0, DeviceOptions::table2()}};
     return sc;
 }
 
@@ -217,8 +217,8 @@ inline EngineConfig
 smallEngine(size_t accelerators = 2)
 {
     EngineConfig ec;
-    ec.accelerators = accelerators;
-    ec.mode = DotaMode::Full;
+    ec.devices = {
+        DeviceSpec{"dota-f", accelerators, 1.0, DeviceOptions::table2()}};
     ec.batch.max_batch_seqs = 4;
     ec.batch.max_step_tokens = 4096;
     ec.kv.page_tokens = 16;

@@ -148,9 +148,7 @@ TEST(Headline, ElsaGapNearPaper)
 
 TEST(System, UnscaledFabricIsTable2Scale)
 {
-    System::Options opt;
-    opt.scale_for_gpu = false;
-    System sys(opt);
+    System sys(DeviceOptions::table2());
     EXPECT_EQ(sys.accelerator().hw().lanes, 4u);
     EXPECT_NEAR(sys.accelerator().hw().peakTops(), 2.048, 1e-9);
 }

@@ -67,6 +67,13 @@ TEST(ContinuousBatching, TokenAndRequestConservation)
               rep.gen.prefill_steps + rep.gen.decode_steps);
 }
 
+TEST(ContinuousBatching, EmptySpecListIsFatal)
+{
+    EXPECT_DEATH(GenerationEngine(EngineConfig{},
+                                  benchmark(BenchmarkId::Text)),
+                 "at least one accelerator");
+}
+
 // ------------------------------------------------- prefill-before-decode
 
 TEST(ContinuousBatching, NoDecodeBeforePrefillCompletes)

@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "device/dota_device.hpp"
 #include "device/fleet.hpp"
 
 namespace dota {
@@ -14,11 +15,9 @@ namespace {
 FleetSimulator
 makeFleet(size_t accelerators, DotaMode mode = DotaMode::Conservative)
 {
-    FleetConfig fc;
-    fc.accelerators = accelerators;
-    SimOptions opt;
-    opt.mode = mode;
-    return FleetSimulator(fc, benchmark(BenchmarkId::Text), opt);
+    return FleetSimulator({DeviceSpec{dotaModeKey(mode), accelerators, 1.0,
+                                      DeviceOptions::table2()}},
+                          benchmark(BenchmarkId::Text));
 }
 
 TEST(Fleet, SingleAcceleratorSerializes)
@@ -85,6 +84,13 @@ TEST(Fleet, DetectionImprovesThroughput)
     EXPECT_GT(sparse.throughput_seq_s, dense.throughput_seq_s);
 }
 
+TEST(Fleet, EmptySpecListIsFatal)
+{
+    EXPECT_DEATH(FleetSimulator(std::vector<DeviceSpec>{},
+                                benchmark(BenchmarkId::Text)),
+                 "at least one accelerator");
+}
+
 TEST(Fleet, EmptyBatch)
 {
     const FleetReport r = makeFleet(3).run({});
@@ -105,12 +111,6 @@ class ZeroCostDevice : public Device
         return r; // zero cycles, zero layers, zero energy
     }
     std::string name() const override { return "ZERO"; }
-    double peakTopS() const override { return 1.0; }
-    std::unique_ptr<Device>
-    clone() const override
-    {
-        return std::make_unique<ZeroCostDevice>();
-    }
 };
 
 TEST(Fleet, ZeroMakespanReportsZeroNotInf)
@@ -167,14 +167,12 @@ TEST(Fleet, EnergyConservation)
     EXPECT_GT(r.total_energy_j, 0.0);
 }
 
-FleetConfig
+std::vector<DeviceSpec>
 mixedConfig()
 {
-    FleetConfig fc;
-    fc.devices = {DeviceSpec{"dota-c", 2, 1.0, DeviceOptions{}},
-                  DeviceSpec{"elsa", 1, 1.0, DeviceOptions{}},
-                  DeviceSpec{"gpu-v100", 1, 1.0, DeviceOptions{}}};
-    return fc;
+    return {DeviceSpec{"dota-c", 2, 1.0, DeviceOptions{}},
+            DeviceSpec{"elsa", 1, 1.0, DeviceOptions{}},
+            DeviceSpec{"gpu-v100", 1, 1.0, DeviceOptions{}}};
 }
 
 TEST(Fleet, HeterogeneousMixConservesWork)
@@ -225,10 +223,9 @@ TEST(Fleet, SpeedAwareDispatchFavorsFastBin)
 {
     // Two identical DOTA-C devices, one clocked 2x: it should finish
     // jobs in half the time and absorb about twice the work share.
-    FleetConfig fc;
-    fc.devices = {DeviceSpec{"dota-c", 1, 1.0, DeviceOptions{}},
-                  DeviceSpec{"dota-c", 1, 2.0, DeviceOptions{}}};
-    FleetSimulator fleet(fc, benchmark(BenchmarkId::Text));
+    FleetSimulator fleet({DeviceSpec{"dota-c", 1, 1.0, DeviceOptions{}},
+                          DeviceSpec{"dota-c", 1, 2.0, DeviceOptions{}}},
+                         benchmark(BenchmarkId::Text));
     EXPECT_DOUBLE_EQ(fleet.sequenceLatencyMs(1024, 1),
                      fleet.sequenceLatencyMs(1024, 0) / 2.0);
 

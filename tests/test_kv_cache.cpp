@@ -45,6 +45,17 @@ TEST(KvCache, GeometryAndFeasibility)
     EXPECT_FALSE(a.feasible(32 * 8 + 1));
 }
 
+TEST(KvCache, BudgetHoldingNoPageIsFatal)
+{
+    KvCacheConfig cfg = tinyArena(1, 8);
+    --cfg.budget_bytes; // one byte short of a page
+    EXPECT_DEATH(PagedKvAllocator{cfg}, "holds no page");
+    // 2^58 tokens x 64 B wraps the page's byte size to 0.
+    cfg = tinyArena();
+    cfg.page_tokens = size_t{1} << 58;
+    EXPECT_DEATH(PagedKvAllocator{cfg}, "holds no page");
+}
+
 TEST(KvCache, LowestFreePageAllocatedFirst)
 {
     PagedKvAllocator a(tinyArena(8, 4));

@@ -227,11 +227,9 @@ TEST(ParallelDeterminism, FleetDispatchBitIdentical)
         for (int i = 0; i < 10; ++i)
             lens.push_back(128 + 64 * len_rng.uniformInt(12));
         auto runFleet = [&] {
-            FleetConfig fc;
-            fc.accelerators = 3;
-            SimOptions opt;
-            opt.mode = DotaMode::Conservative;
-            FleetSimulator fleet(fc, benchmark(BenchmarkId::Text), opt);
+            FleetSimulator fleet(
+                {DeviceSpec{"dota-c", 3, 1.0, DeviceOptions::table2()}},
+                benchmark(BenchmarkId::Text));
             return fleet.run(lens);
         };
         auto [serial, parallel] = atBothThreadCounts(runFleet);
@@ -263,14 +261,14 @@ TEST(ParallelDeterminism, MixedFleetDispatchBitIdentical)
     for (int i = 0; i < 12; ++i)
         lens.push_back(128 + 64 * len_rng.uniformInt(12));
     auto runFleet = [&] {
-        FleetConfig fc;
-        fc.devices = {
-            DeviceSpec{"dota-c", 2, 1.0, DeviceOptions{}},
-            DeviceSpec{"dota-c", 1, 1.5, DeviceOptions{}},
-            DeviceSpec{"elsa", 1, 1.0, DeviceOptions{}},
-            DeviceSpec{"gpu-v100", 1, 1.0, DeviceOptions{}},
-        };
-        FleetSimulator fleet(fc, benchmark(BenchmarkId::Text));
+        FleetSimulator fleet(
+            {
+                DeviceSpec{"dota-c", 2, 1.0, DeviceOptions{}},
+                DeviceSpec{"dota-c", 1, 1.5, DeviceOptions{}},
+                DeviceSpec{"elsa", 1, 1.0, DeviceOptions{}},
+                DeviceSpec{"gpu-v100", 1, 1.0, DeviceOptions{}},
+            },
+            benchmark(BenchmarkId::Text));
         return fleet.run(lens);
     };
     auto [serial, parallel] = atBothThreadCounts(runFleet);

@@ -538,7 +538,6 @@ TEST(ServeSim, DegradationLadderKicksInUnderPressure)
     tc.len_max = 2048;
     const RequestTrace trace = generateTrace(tc);
     ServeConfig sc = smallFleet(2);
-    sc.mode = DotaMode::Full;
     sc.policy.queue_limit = 0;
     sc.policy.degrade_depth_1 = 1.0;
     sc.policy.degrade_depth_2 = 3.0;
@@ -568,6 +567,13 @@ TEST(ServeSim, DegradationLadderKicksInUnderPressure)
     }
     EXPECT_NEAR(r.mean_retention,
                 retention_sum / double(r.completed), 1e-12);
+}
+
+TEST(ServeSim, EmptySpecListIsFatal)
+{
+    EXPECT_DEATH(
+        ServingSimulator(ServeConfig{}, benchmark(BenchmarkId::Text)),
+        "at least one accelerator");
 }
 
 TEST(ServeSim, NonDotaDevicesHaveNoLadder)

@@ -30,8 +30,7 @@ chaosRun(uint64_t arrival_seed, uint64_t fault_seed)
     tc.len_min = 256;
     tc.len_max = 2048;
     ServeConfig sc;
-    sc.accelerators = 6;
-    sc.mode = DotaMode::Full;
+    sc.devices = {DeviceSpec{"dota-f", 6, 1.0, DeviceOptions::table2()}};
     sc.policy.timeout_ms = 70.0;
     sc.policy.max_retries = 3;
     sc.policy.queue_limit = 48;
@@ -91,7 +90,8 @@ TEST(ServeDeterminism, HealthyRunBitIdenticalAt1And8Threads)
         tc.seed = 3;
         tc.len_max = 1024; // few distinct lengths: fast serial warmup
         ServeConfig sc;
-        sc.accelerators = 4;
+        sc.devices = {
+            DeviceSpec{"dota-f", 4, 1.0, DeviceOptions::table2()}};
         ServingSimulator sim(sc, benchmark(BenchmarkId::Text));
         return sim.run(generateTrace(tc));
     });

@@ -53,8 +53,7 @@ simulatorChaosRun()
     tc.len_min = 256;
     tc.len_max = 2048;
     ServeConfig sc;
-    sc.accelerators = 6;
-    sc.mode = DotaMode::Full;
+    sc.devices = {DeviceSpec{"dota-f", 6, 1.0, DeviceOptions::table2()}};
     sc.policy.timeout_ms = 70.0;
     sc.policy.max_retries = 3;
     sc.policy.queue_limit = 48;
