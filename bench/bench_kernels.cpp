@@ -13,14 +13,17 @@
  * `--smoke` runs a fixed-shape dense-vs-sparse attention comparison and
  * exits non-zero unless the sparse path is faster at 25% retention and
  * bitwise equal to the dense masked computation — the CI guard that
- * the row attention kernel actually delivers the omission speedup — and
+ * the row attention kernel actually delivers the omission speedup —
  * unless a causal MultiHeadAttention forward with the DOTA detector
- * installed, detection included, beats the dense forward at n = 2048.
+ * installed, detection included, beats the dense forward at n = 2048,
+ * and unless GELU matches the portable kernel bitwise and, on AVX2,
+ * runs 8x faster than its std::tanh form.
  */
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -169,6 +172,25 @@ BM_Softmax(benchmark::State &state)
         benchmark::DoNotOptimize(rowSoftmax(s));
 }
 BENCHMARK(BM_Softmax)->Arg(128)->Arg(512);
+
+/** GELU's input in the benchmark and the smoke: one FFN's 2048 x 1024. */
+Matrix
+geluInput()
+{
+    Rng rng(13);
+    return Matrix::randomNormal(2048, 1024, rng, 0.0f, 2.0f);
+}
+
+void
+BM_Gelu(benchmark::State &state)
+{
+    const Matrix x = geluInput();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(gelu(x));
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(x.size()));
+}
+BENCHMARK(BM_Gelu);
 
 void
 BM_LocalityAwareScheduler(benchmark::State &state)
@@ -337,11 +359,13 @@ bestSeconds(Fn &&fn, int reps)
 
 int runDetectedMhaSmoke();
 int runInt8Smoke();
+int runGeluSmoke();
 
 /**
  * Fixed-shape dense-vs-sparse comparison: sparse must be (a) bitwise
  * equal to the dense masked computation and (b) strictly faster at 25%
- * retention. Returns a process exit code. Chains into runInt8Smoke().
+ * retention. Returns a process exit code. Chains into
+ * runDetectedMhaSmoke().
  */
 int
 runSmoke()
@@ -439,7 +463,8 @@ runDetectedMhaSmoke()
  * Int8 GEMM guard: every compiled kernel instantiation must agree
  * exactly (the saturation-free maddubs scheme makes the s32 sums exact,
  * so portable-vs-AVX2 parity is bitwise, not tolerance-level), and on
- * AVX2 the int8 path must beat the fp32 GEMM at 512^3.
+ * AVX2 the int8 path must beat the fp32 GEMM at 512^3. Chains into
+ * runGeluSmoke().
  */
 int
 runInt8Smoke()
@@ -484,6 +509,54 @@ runInt8Smoke()
         std::fprintf(stderr,
                      "smoke: FAIL — int8 GEMM is not faster than fp32 "
                      "at 512^3 on AVX2\n");
+        return 1;
+    }
+    return runGeluSmoke();
+}
+
+/** GELU in its std::tanh form, the per-element loop the kernels replaced. */
+Matrix
+tanhGelu(const Matrix &a)
+{
+    Matrix y(a.rows(), a.cols());
+    for (size_t i = 0; i < a.size(); ++i) {
+        const float x = a.data()[i];
+        const float t =
+            std::tanh(0.7978845608028654f * (x + 0.044715f * x * x * x));
+        y.data()[i] = 0.5f * x * (1.0f + t);
+    }
+    return y;
+}
+
+/**
+ * GELU guard: the active table's GELU must equal the portable table's
+ * bitwise on one FFN-sized input, and on AVX2 it must run at least 8x
+ * faster than the std::tanh form.
+ */
+int
+runGeluSmoke()
+{
+    const Matrix x = geluInput();
+    const Matrix y = gelu(x);
+    Matrix ref(x.rows(), x.cols());
+    detail::portableGemmKernels().geluRow(x.data(), x.size(), ref.data());
+    if (std::memcmp(y.data(), ref.data(), y.size() * sizeof(float)) != 0) {
+        std::fprintf(stderr, "smoke: FAIL — %s GELU diverges from the "
+                             "portable kernel\n",
+                     simdIsaName(activeSimdIsa()));
+        return 1;
+    }
+    const int reps = 5;
+    const double tt = bestSeconds([&] { return tanhGelu(x); }, reps);
+    const double tg = bestSeconds([&] { return gelu(x); }, reps);
+    std::printf("smoke: gelu %zux%zu isa=%s threads=%zu: std::tanh form "
+                "%.2f ms, kernel %.2f ms (%.1fx)\n",
+                x.rows(), x.cols(), simdIsaName(activeSimdIsa()),
+                ThreadPool::globalConcurrency(), tt * 1e3, tg * 1e3,
+                tt / tg);
+    if (activeSimdIsa() == SimdIsa::Avx2 && tt < 8.0 * tg) {
+        std::fprintf(stderr, "smoke: FAIL — GELU is not 8x faster than "
+                             "the std::tanh form on AVX2\n");
         return 1;
     }
     std::printf("smoke: PASS\n");

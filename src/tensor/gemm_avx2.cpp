@@ -15,7 +15,10 @@
  *  - dot-family kernels keep one YMM accumulator (the 8-way lane
  *    split), reduce it with the canonical extract/movehl/shuffle
  *    horizontal sum — the pairwise order the contract fixes — and fold
- *    the scalar tail last.
+ *    the scalar tail last;
+ *  - elementwise kernels run elementwise_impl.hpp's sequences on eight
+ *    lanes (vfmadd where the portable lane calls std::fma), and the
+ *    tail runs the same sequence on masked loads and stores.
  *
  * The GEMM driver is cache-blocked and register-tiled: output tiles of
  * 4 rows x 16 columns (8 YMM accumulators) are computed per k-sweep,
@@ -28,6 +31,8 @@
 #include <cmath>
 #include <immintrin.h>
 #include <type_traits>
+
+#include "tensor/elementwise_impl.hpp"
 
 namespace dota {
 namespace detail {
@@ -431,6 +436,76 @@ int8GemmBTRowsAvx2(const uint8_t *a, const int8_t *b, int32_t *c,
     }
 }
 
+/*
+ * ---- elementwise family -------------------------------------------------
+ */
+
+/** Eight floats per lane op; the compares are ordered (false on NaN). */
+struct Avx2Lane
+{
+    using V = __m256;
+    using M = __m256;
+
+    static V set(float c) { return _mm256_set1_ps(c); }
+    static V add(V a, V b) { return _mm256_add_ps(a, b); }
+    static V sub(V a, V b) { return _mm256_sub_ps(a, b); }
+    static V mul(V a, V b) { return _mm256_mul_ps(a, b); }
+    static V div(V a, V b) { return _mm256_div_ps(a, b); }
+    static V fma(V a, V b, V c) { return _mm256_fmadd_ps(a, b, c); }
+    static V
+    addExponent(V p, V t)
+    {
+        return _mm256_castsi256_ps(
+            _mm256_add_epi32(_mm256_castps_si256(p),
+                             _mm256_slli_epi32(_mm256_castps_si256(t), 23)));
+    }
+    static M gt(V a, V b) { return _mm256_cmp_ps(a, b, _CMP_GT_OQ); }
+    static M lt(V a, V b) { return _mm256_cmp_ps(a, b, _CMP_LT_OQ); }
+    static M isNan(V a) { return _mm256_cmp_ps(a, a, _CMP_UNORD_Q); }
+    static V select(M m, V a, V b) { return _mm256_blendv_ps(b, a, m); }
+};
+
+/**
+ * out[i] = f(in[i]...) for i in [0, n), eight lanes at a time; the last
+ * n % 8 elements take the same f on masked loads and stores.
+ */
+template <typename F, typename... In>
+inline void
+mapAvx2(F f, size_t n, float *out, const In *...in)
+{
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        _mm256_storeu_ps(out + i, f(_mm256_loadu_ps(in + i)...));
+    if (i < n) {
+        const __m256i m =
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n - i)),
+                               _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        _mm256_maskstore_ps(out + i, m, f(_mm256_maskload_ps(in + i, m)...));
+    }
+}
+
+void
+expRowAvx2(const float *x, float shift, size_t n, float *out)
+{
+    const __m256 s = _mm256_set1_ps(shift);
+    mapAvx2(
+        [s](__m256 v) { return expLane<Avx2Lane>(_mm256_sub_ps(v, s)); },
+        n, out, x);
+}
+
+void
+geluRowAvx2(const float *x, size_t n, float *y)
+{
+    mapAvx2([](__m256 v) { return geluLane<Avx2Lane>(v); }, n, y, x);
+}
+
+void
+geluBackwardRowAvx2(const float *x, const float *dy, size_t n, float *dx)
+{
+    mapAvx2([](__m256 v, __m256 g) { return geluBackwardLane<Avx2Lane>(v, g); },
+            n, dx, x, dy);
+}
+
 } // namespace
 
 const GemmKernelTable &
@@ -439,7 +514,8 @@ avx2GemmKernels()
     static const GemmKernelTable table = {
         matmulRowsAvx2,     matmulATRowsAvx2,   matmulBTRowsAvx2,
         sparseScoreRowAvx2, sparseAvRowAvx2,    int8GemmBTRowsAvx2,
-        int8DotAvx2,
+        int8DotAvx2,        expRowAvx2,         geluRowAvx2,
+        geluBackwardRowAvx2,
     };
     return table;
 }

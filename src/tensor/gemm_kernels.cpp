@@ -12,6 +12,8 @@
 
 #include <cmath>
 
+#include "tensor/elementwise_impl.hpp"
+
 namespace dota {
 
 namespace detail {
@@ -137,6 +139,28 @@ int8GemmBTRowsPortable(const uint8_t *a, const int8_t *b, int32_t *c,
     }
 }
 
+void
+expRowPortable(const float *x, float shift, size_t n, float *out)
+{
+    for (size_t i = 0; i < n; ++i)
+        out[i] = expLane<ScalarLane>(x[i] - shift);
+}
+
+void
+geluRowPortable(const float *x, size_t n, float *y)
+{
+    for (size_t i = 0; i < n; ++i)
+        y[i] = geluLane<ScalarLane>(x[i]);
+}
+
+void
+geluBackwardRowPortable(const float *x, const float *dy, size_t n,
+                        float *dx)
+{
+    for (size_t i = 0; i < n; ++i)
+        dx[i] = geluBackwardLane<ScalarLane>(x[i], dy[i]);
+}
+
 } // namespace
 
 const GemmKernelTable &
@@ -146,7 +170,8 @@ portableGemmKernels()
         matmulRowsPortable,     matmulATRowsPortable,
         matmulBTRowsPortable,   sparseScoreRowPortable,
         sparseAvRowPortable,    int8GemmBTRowsPortable,
-        int8DotPortable,
+        int8DotPortable,        expRowPortable,
+        geluRowPortable,        geluBackwardRowPortable,
     };
     return table;
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Level-1 dense micro-kernels: the ISA-dispatched inner loops behind
- * matmul / matmulBT / matmulAT and the row attention kernel
- * (DESIGN.md §11, §13).
+ * matmul / matmulBT / matmulAT, the row attention kernel, the softmax
+ * exp and GELU (DESIGN.md §11, §13).
  *
  * Each kernel exists once per SimdIsa (portable C++ and AVX2/FMA). The
  * two instantiations are bit-identical by construction because every
@@ -27,6 +27,15 @@
  *    This mirrors one YMM accumulator plus the canonical 128-bit
  *    horizontal sum, and the portable path replays the identical
  *    sequence with 8 scalar accumulators.
+ *
+ *  - **Elementwise family** (expRow, geluRow, geluBackwardRow): each
+ *    output element is a fixed sequence of operations on its own input
+ *    values only (exp: Cody–Waite reduction, a degree-6 polynomial in
+ *    fma steps and a 2^n exponent add; GELU on that exp), written once
+ *    over a lane type in tensor/elementwise_impl.hpp. A vector body and
+ *    its tail run the same sequence, so an element's bits depend on its
+ *    input alone, never on the array length, its position or the
+ *    thread count.
  *
  * Because each element is produced by exactly one kernel invocation and
  * the row-block partitioning of tensor/ops.cpp assigns every output row
@@ -110,6 +119,24 @@ struct GemmKernelTable
 
     /** Exact s32 dot of u8 codes x[0..k) and s8 codes y[0..k). */
     int32_t (*int8Dot)(const uint8_t *x, const int8_t *y, size_t k);
+
+    /**
+     * out[i] = exp(x[i] - shift) for i in [0, n); out may be x. NaN
+     * stays NaN, exp(-inf) = +0 and exp(0) = 1 exactly; results below
+     * FLT_MIN flush to +0 and results above FLT_MAX are +inf. Relative
+     * error <= 8.3e-8 on every normal result.
+     */
+    void (*expRow)(const float *x, float shift, size_t n, float *out);
+
+    /**
+     * y[i] = GELU(x[i]) for i in [0, n) (tanh approximation, in the
+     * form x / (1 + e^{-2u}); see ops.hpp); y may be x.
+     */
+    void (*geluRow)(const float *x, size_t n, float *y);
+
+    /** dx[i] = dy[i] * GELU'(x[i]) for i in [0, n). */
+    void (*geluBackwardRow)(const float *x, const float *dy, size_t n,
+                            float *dx);
 };
 
 /**

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "tensor/gemm_kernels.hpp"
@@ -193,11 +194,10 @@ softmaxInPlace(float *x, size_t n)
     float mx = -std::numeric_limits<float>::infinity();
     for (size_t j = 0; j < n; ++j)
         mx = std::max(mx, x[j]);
+    activeGemmKernels().expRow(x, mx, n, x);
     double denom = 0.0;
-    for (size_t j = 0; j < n; ++j) {
-        x[j] = std::exp(x[j] - mx);
+    for (size_t j = 0; j < n; ++j)
         denom += x[j];
-    }
     const float inv = static_cast<float>(1.0 / denom);
     for (size_t j = 0; j < n; ++j)
         x[j] *= inv;
@@ -217,30 +217,21 @@ rowSoftmaxMasked(const Matrix &a, const Matrix &mask)
 {
     assertSameShape(a, mask, "rowSoftmaxMasked");
     Matrix y(a.rows(), a.cols());
+    std::vector<size_t> ids;
+    std::vector<float> kept;
     for (size_t i = 0; i < a.rows(); ++i) {
-        const float *x = a.row(i);
         const float *m = mask.row(i);
-        float *out = y.row(i);
-        float mx = -std::numeric_limits<float>::infinity();
-        bool any = false;
-        for (size_t j = 0; j < a.cols(); ++j) {
-            if (m[j] != 0.0f) {
-                mx = std::max(mx, x[j]);
-                any = true;
-            }
-        }
-        if (!any)
-            continue; // row stays zero: no incoming edges.
-        double denom = 0.0;
-        for (size_t j = 0; j < a.cols(); ++j) {
-            if (m[j] != 0.0f) {
-                out[j] = std::exp(x[j] - mx);
-                denom += out[j];
-            }
-        }
-        const float inv = static_cast<float>(1.0 / denom);
+        ids.clear();
+        kept.clear();
         for (size_t j = 0; j < a.cols(); ++j)
-            out[j] *= inv;
+            if (m[j] != 0.0f) {
+                ids.push_back(j);
+                kept.push_back(a(i, j));
+            }
+        // No kept entry: the row stays zero (no incoming edges).
+        softmaxInPlace(kept.data(), kept.size());
+        for (size_t t = 0; t < ids.size(); ++t)
+            y(i, ids[t]) = kept[t];
     }
     return y;
 }
@@ -282,21 +273,11 @@ reluBackward(const Matrix &x, const Matrix &dy)
     return dx;
 }
 
-namespace {
-
-constexpr float kGeluC = 0.7978845608028654f; // sqrt(2/pi)
-
-} // namespace
-
 Matrix
 gelu(const Matrix &a)
 {
     Matrix y(a.rows(), a.cols());
-    for (size_t i = 0; i < a.size(); ++i) {
-        const float x = a.data()[i];
-        const float t = std::tanh(kGeluC * (x + 0.044715f * x * x * x));
-        y.data()[i] = 0.5f * x * (1.0f + t);
-    }
+    activeGemmKernels().geluRow(a.data(), a.size(), y.data());
     return y;
 }
 
@@ -305,15 +286,8 @@ geluBackward(const Matrix &xin, const Matrix &dy)
 {
     assertSameShape(xin, dy, "geluBackward");
     Matrix dx(xin.rows(), xin.cols());
-    for (size_t i = 0; i < xin.size(); ++i) {
-        const float x = xin.data()[i];
-        const float u = kGeluC * (x + 0.044715f * x * x * x);
-        const float t = std::tanh(u);
-        const float du = kGeluC * (1.0f + 3.0f * 0.044715f * x * x);
-        const float grad =
-            0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-        dx.data()[i] = dy.data()[i] * grad;
-    }
+    activeGemmKernels().geluBackwardRow(xin.data(), dy.data(), xin.size(),
+                                        dx.data());
     return dx;
 }
 

@@ -54,10 +54,11 @@ Matrix addRowBroadcast(const Matrix &a, const Matrix &bias);
 Matrix meanRows(const Matrix &a);
 
 /**
- * Softmax of @p n values in place: float max and exponentials, a double
- * normalizer summed in ascending order, one float reciprocal. The row
- * operation of rowSoftmax, and of rowSoftmaxMasked over a row's kept
- * entries.
+ * Softmax of @p n values in place: float max, exponentials from the
+ * kernel table's expRow (gemm_kernels.hpp), a double normalizer summed
+ * in ascending order, one float reciprocal. The row operation of
+ * rowSoftmax, of rowSoftmaxMasked over a row's kept entries, and of the
+ * row attention kernel.
  */
 void softmaxInPlace(float *x, size_t n);
 
@@ -86,10 +87,22 @@ Matrix relu(const Matrix &a);
 /** ReLU backward: dx = dy * (x > 0). */
 Matrix reluBackward(const Matrix &x, const Matrix &dy);
 
-/** GELU forward (tanh approximation). */
+/**
+ * GELU forward, tanh approximation, computed in its sigmoid form
+ *     0.5 x (1 + tanh(u)) = x / (1 + e^{-2u}),
+ *     u = sqrt(2/pi) (x + 0.044715 x^3),
+ * on the kernel table's exp (geluRow), which has no 1 + tanh
+ * cancellation for negative x. Against the tanh form in double: relative
+ * error <= 1e-6 for x >= -3 (normal results) and absolute error <= 1e-6
+ * for every finite x. gelu(±0) = ±0, gelu(+inf) = +inf, gelu(-inf) =
+ * NaN (-inf / inf), NaN stays NaN.
+ */
 Matrix gelu(const Matrix &a);
 
-/** GELU backward (tanh approximation). */
+/**
+ * GELU backward of the same approximation: dx = dy * s (1 + x (2u)'
+ * (1 - s)) with s = 1 / (1 + e^{-2u}) (geluBackwardRow).
+ */
 Matrix geluBackward(const Matrix &x, const Matrix &dy);
 
 /**

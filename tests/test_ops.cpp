@@ -6,8 +6,11 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
+#include "tensor/gemm_kernels.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/simd.hpp"
 
 namespace dota {
 namespace {
@@ -214,6 +217,89 @@ TEST(Ops, MatmulPropagatesNonFiniteOperands)
     const float nan = std::numeric_limits<float>::quiet_NaN();
     const Matrix an(1, 2, std::vector<float>{nan, 1.0f});
     EXPECT_TRUE(std::isnan(matmulBT(an, Matrix(1, 2, 1.0f))(0, 0)));
+}
+
+/** True when @p v is +0 or -0 with the sign bit @p negative. */
+bool
+isZero(float v, bool negative)
+{
+    return v == 0.0f && std::signbit(v) == negative;
+}
+
+TEST(Ops, ElementwisePropagatesNonFinite)
+{
+    // The elementwise kernel family follows std::exp on non-finite
+    // input: NaN stays NaN, exp(-inf) = +0, exp(+inf) = +inf, and
+    // exp(0) = 1 exactly. GELU keeps the sign of zero, gelu(+inf) =
+    // +inf, and gelu(-inf) = -inf / (1 + e^{+inf}) = NaN, as the
+    // std::tanh form gave (-inf * 0).
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float big = std::numeric_limits<float>::max();
+    const std::vector<float> x = {nan, -inf, inf, 0.0f, -0.0f, -big, big};
+    std::vector<const GemmKernelTable *> tables = {
+        &detail::portableGemmKernels()};
+    if (&gemmKernels(SimdIsa::Avx2) != tables[0])
+        tables.push_back(&gemmKernels(SimdIsa::Avx2));
+    for (const GemmKernelTable *kt : tables) {
+        std::vector<float> e(x.size()), g(x.size()), dg(x.size());
+        const std::vector<float> dy(x.size(), 1.0f);
+        kt->expRow(x.data(), 0.0f, x.size(), e.data());
+        kt->geluRow(x.data(), x.size(), g.data());
+        kt->geluBackwardRow(x.data(), dy.data(), x.size(), dg.data());
+        EXPECT_TRUE(std::isnan(e[0]));
+        EXPECT_TRUE(isZero(e[1], false));
+        EXPECT_EQ(e[2], inf);
+        EXPECT_EQ(e[3], 1.0f);
+        EXPECT_EQ(e[4], 1.0f);
+        EXPECT_TRUE(isZero(e[5], false));
+        EXPECT_EQ(e[6], inf);
+
+        EXPECT_TRUE(std::isnan(g[0]));
+        EXPECT_TRUE(std::isnan(g[1]));
+        EXPECT_EQ(g[2], inf);
+        EXPECT_TRUE(isZero(g[3], false));
+        EXPECT_TRUE(isZero(g[4], true));
+        EXPECT_TRUE(isZero(g[5], true)); // gelu(-FLT_MAX) = -0
+        EXPECT_EQ(g[6], big);
+
+        EXPECT_TRUE(std::isnan(dg[0]));
+        EXPECT_EQ(dg[3], 0.5f);
+        EXPECT_EQ(dg[4], 0.5f);
+    }
+
+    // The ops on the active table: the softmax of a row with a NaN is
+    // NaN, a -inf score gets probability +0, and one key gets exactly 1.
+    std::vector<float> row = {1.0f, nan, 2.0f};
+    softmaxInPlace(row.data(), row.size());
+    for (float v : row)
+        EXPECT_TRUE(std::isnan(v));
+    row = {-inf, 0.5f};
+    softmaxInPlace(row.data(), row.size());
+    EXPECT_TRUE(isZero(row[0], false));
+    EXPECT_EQ(row[1], 1.0f);
+    row = {-3.5f};
+    softmaxInPlace(row.data(), row.size());
+    EXPECT_EQ(row[0], 1.0f);
+
+    const Matrix s = rowSoftmax(
+        Matrix(2, 2, std::vector<float>{nan, 0.0f, 4.0f, -inf}));
+    EXPECT_TRUE(std::isnan(s(0, 0)));
+    EXPECT_TRUE(std::isnan(s(0, 1)));
+    EXPECT_EQ(s(1, 0), 1.0f);
+    EXPECT_TRUE(isZero(s(1, 1), false));
+
+    const Matrix gx(1, 5, std::vector<float>{nan, 0.0f, -0.0f, inf, -inf});
+    const Matrix g = gelu(gx);
+    EXPECT_TRUE(std::isnan(g(0, 0)));
+    EXPECT_TRUE(isZero(g(0, 1), false));
+    EXPECT_TRUE(isZero(g(0, 2), true));
+    EXPECT_EQ(g(0, 3), inf);
+    EXPECT_TRUE(std::isnan(g(0, 4)));
+    const Matrix dg = geluBackward(gx, Matrix(1, 5, 2.0f));
+    EXPECT_TRUE(std::isnan(dg(0, 0)));
+    EXPECT_EQ(dg(0, 1), 1.0f);
+    EXPECT_EQ(dg(0, 2), 1.0f);
 }
 
 } // namespace

@@ -10,13 +10,19 @@
  *  - the row attention kernel's stages (sparseScoreRow, the masked
  *    softmax over kept scores, sparseAvRow) on both kernel tables and the
  *    whole kernel against the dense masked computation, bitwise;
+ *  - the elementwise family (the softmax exp, GELU and its backward):
+ *    per-element purity at every length and offset, and the stated
+ *    error bounds against double-precision references;
  *  - the MultiHeadAttention sparse inference path against its forced
  *    dense path, bitwise.
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -38,6 +44,32 @@ bitIdentical(const Matrix &a, const Matrix &b)
            (a.size() == 0 ||
             std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) ==
                 0);
+}
+
+/**
+ * Every @p stride-th float by bit pattern in [-lim, lim] (both signs),
+ * then the special values: ±0, ±inf, NaN, denormals, ±FLT_MAX, and the
+ * exp kernel's two range thresholds with their neighbours.
+ */
+std::vector<float>
+elementwiseInputs(float lim, uint32_t stride)
+{
+    std::vector<float> x;
+    for (uint32_t u = 0; u <= std::bit_cast<uint32_t>(lim); u += stride) {
+        x.push_back(std::bit_cast<float>(u));
+        x.push_back(-std::bit_cast<float>(u));
+    }
+    const float inf = std::numeric_limits<float>::infinity();
+    const float big = std::numeric_limits<float>::max();
+    const float tiny = std::numeric_limits<float>::denorm_min();
+    for (float v : {0.0f, -0.0f, inf, -inf,
+                    std::numeric_limits<float>::quiet_NaN(), tiny, -tiny,
+                    1e-40f, -1e-40f, big, -big})
+        x.push_back(v);
+    for (float t : {88.72283172607421875f, -87.33654022216796875f})
+        for (float v : {std::nextafter(t, -inf), t, std::nextafter(t, inf)})
+            x.push_back(v);
+    return x;
 }
 
 /** Naive matmul with double accumulation — the accuracy yardstick. */
@@ -195,6 +227,31 @@ TEST(SimdKernels, PortableAndAvx2TablesBitIdentical)
         for (size_t j = 0; j < n; ++j)
             EXPECT_EQ(s_p[j], d_p(0, ids[j])) << "key " << ids[j];
     }
+
+    // The elementwise family on ~1.1M floats over [-12, 12] plus the
+    // special values; the exp also over [64, 88] and [-88, -64] by
+    // shifting. NaN outputs must match in their bits too.
+    const std::vector<float> x = elementwiseInputs(12.0f, 2048);
+    ASSERT_GE(x.size(), 1000000u);
+    std::vector<float> dy(x.size());
+    Rng dy_rng(2100);
+    for (float &v : dy)
+        v = static_cast<float>(dy_rng.normal());
+    const size_t bytes = x.size() * sizeof(float);
+    std::vector<float> o_p(x.size()), o_v(x.size());
+    for (float shift : {0.0f, -76.0f, 76.0f}) {
+        portable.expRow(x.data(), shift, x.size(), o_p.data());
+        avx2.expRow(x.data(), shift, x.size(), o_v.data());
+        EXPECT_EQ(std::memcmp(o_p.data(), o_v.data(), bytes), 0)
+            << "expRow, shift " << shift;
+    }
+    portable.geluRow(x.data(), x.size(), o_p.data());
+    avx2.geluRow(x.data(), x.size(), o_v.data());
+    EXPECT_EQ(std::memcmp(o_p.data(), o_v.data(), bytes), 0) << "geluRow";
+    portable.geluBackwardRow(x.data(), dy.data(), x.size(), o_p.data());
+    avx2.geluBackwardRow(x.data(), dy.data(), x.size(), o_v.data());
+    EXPECT_EQ(std::memcmp(o_p.data(), o_v.data(), bytes), 0)
+        << "geluBackwardRow";
 }
 
 /** The portable kernel table, plus AVX2 when built and usable. */
@@ -206,6 +263,109 @@ kernelTables()
     if (avx2 == portable)
         return {portable};
     return {portable, avx2};
+}
+
+TEST(SimdKernels, ElementwiseOutputDependsOnItsInputAlone)
+{
+    // Every run length 0..17 at every offset 0..7, against one call per
+    // element: the vector body and the tail give each element the same
+    // bits, wherever it sits.
+    Rng rng(2200);
+    std::vector<float> x(32), dy(32);
+    for (size_t i = 0; i < x.size(); ++i) {
+        x[i] = static_cast<float>(4.0 * rng.normal());
+        dy[i] = static_cast<float>(rng.normal());
+    }
+    x[5] = std::numeric_limits<float>::quiet_NaN();
+    x[11] = -std::numeric_limits<float>::infinity();
+    x[12] = 100.0f;
+    const float shift = 0.75f;
+    for (const GemmKernelTable *kt : kernelTables()) {
+        std::vector<float> e1(x.size()), g1(x.size()), d1(x.size());
+        for (size_t i = 0; i < x.size(); ++i) {
+            kt->expRow(&x[i], shift, 1, &e1[i]);
+            kt->geluRow(&x[i], 1, &g1[i]);
+            kt->geluBackwardRow(&x[i], &dy[i], 1, &d1[i]);
+        }
+        for (size_t off = 0; off < 8; ++off)
+            for (size_t len = 0; len <= 17; ++len) {
+                std::vector<float> e(len), g(len), d(len);
+                kt->expRow(&x[off], shift, len, e.data());
+                kt->geluRow(&x[off], len, g.data());
+                kt->geluBackwardRow(&x[off], &dy[off], len, d.data());
+                for (size_t i = 0; i < len; ++i) {
+                    const uint32_t want[3] = {
+                        std::bit_cast<uint32_t>(e1[off + i]),
+                        std::bit_cast<uint32_t>(g1[off + i]),
+                        std::bit_cast<uint32_t>(d1[off + i])};
+                    const uint32_t got[3] = {std::bit_cast<uint32_t>(e[i]),
+                                             std::bit_cast<uint32_t>(g[i]),
+                                             std::bit_cast<uint32_t>(d[i])};
+                    for (int f = 0; f < 3; ++f)
+                        EXPECT_EQ(got[f], want[f])
+                            << "kernel " << f << " offset " << off
+                            << " length " << len << " element " << i;
+                }
+            }
+        // In place (the softmax's use) gives the same bits.
+        std::vector<float> inplace = x;
+        kt->expRow(inplace.data(), shift, inplace.size(), inplace.data());
+        for (size_t i = 0; i < x.size(); ++i)
+            EXPECT_EQ(std::bit_cast<uint32_t>(inplace[i]),
+                      std::bit_cast<uint32_t>(e1[i]));
+    }
+}
+
+TEST(SimdKernels, ExpWithinStatedErrorOnNegativeRange)
+{
+    // The softmax exp sees x - max <= 0. Relative error <= 8.3e-8 on
+    // [-87, 0] (gemm_kernels.hpp), on ~1.1M floats by bit pattern.
+    std::vector<float> x;
+    for (uint32_t u = 0; u <= std::bit_cast<uint32_t>(87.0f); u += 1024)
+        x.push_back(-std::bit_cast<float>(u));
+    ASSERT_GE(x.size(), 1000000u);
+    std::vector<float> y(x.size());
+    for (const GemmKernelTable *kt : kernelTables()) {
+        kt->expRow(x.data(), 0.0f, x.size(), y.data());
+        double worst = 0.0;
+        for (size_t i = 0; i < x.size(); ++i) {
+            const double ref = std::exp(static_cast<double>(x[i]));
+            worst = std::max(worst, std::abs(y[i] - ref) / ref);
+        }
+        EXPECT_LE(worst, 8.3e-8);
+    }
+}
+
+TEST(SimdKernels, GeluWithinStatedErrorOfTanhForm)
+{
+    // Against 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))) in double:
+    // relative error <= 1e-6 for x >= -3 (normal results) and absolute
+    // error <= 1e-6 for every finite x (ops.hpp).
+    std::vector<float> x = elementwiseInputs(12.0f, 2048);
+    for (float m = 12.0f; m < 3e38f; m *= 1.7f) {
+        x.push_back(m);
+        x.push_back(-m);
+    }
+    std::vector<float> y(x.size());
+    const double c = std::sqrt(2.0 / 3.14159265358979323846);
+    for (const GemmKernelTable *kt : kernelTables()) {
+        kt->geluRow(x.data(), x.size(), y.data());
+        double worst_rel = 0.0, worst_abs = 0.0;
+        for (size_t i = 0; i < x.size(); ++i) {
+            if (!std::isfinite(x[i]))
+                continue;
+            const double v = x[i];
+            const double ref =
+                0.5 * v * (1.0 + std::tanh(c * (v + 0.044715 * v * v * v)));
+            const double err = std::abs(y[i] - ref);
+            worst_abs = std::max(worst_abs, err);
+            if (v >= -3.0 &&
+                std::abs(ref) >= std::numeric_limits<float>::min())
+                worst_rel = std::max(worst_rel, err / std::abs(ref));
+        }
+        EXPECT_LE(worst_rel, 1e-6);
+        EXPECT_LE(worst_abs, 1e-6);
+    }
 }
 
 TEST(SimdKernels, SparseScoresMatchDenseAtKeptCoordinates)
