@@ -5,7 +5,6 @@
 #include "detect/detector.hpp"
 
 #include <cmath>
-#include <numeric>
 
 #include "common/thread_pool.hpp"
 #include "tensor/gemm_kernels.hpp"
@@ -101,15 +100,13 @@ DotaDetector::selectSparseMask(size_t layer, size_t head, bool causal)
 
     // S~ is never built. Each tile of kTileRows query rows is one
     // parallelFor chunk; each of its rows estimates only the keys it can
-    // see (the causal prefix) with the dot-family kernel, whose
-    // per-element contract (DESIGN.md §11) gives the bits of the full
-    // Q~K~^T, and selects straight into its CSR row.
+    // see (the causal prefix) against K~ transposed (k x n, 8 keys per
+    // vector), with the dot-family contract (DESIGN.md §11) that gives
+    // the bits of the full Q~K~^T, and selects straight into its CSR row.
     const Matrix &qt = qt_[slot];
-    const Matrix &kt = kt_[slot];
+    const Matrix ktt = transpose(kt_[slot]);
     const size_t n = qt.rows();
     const size_t keep = keepCount(n);
-    std::vector<uint32_t> all_keys(n);
-    std::iota(all_keys.begin(), all_keys.end(), 0u);
     const GemmKernelTable &kern = activeGemmKernels();
     SparseMask mask(n, n);
     const size_t tiles = (n + kTileRows - 1) / kTileRows;
@@ -118,8 +115,8 @@ DotaDetector::selectSparseMask(size_t layer, size_t head, bool causal)
         for (size_t i = t0 * kTileRows; i < std::min(n, t1 * kTileRows);
              ++i) {
             const size_t visible = causal ? i + 1 : n;
-            kern.sparseScoreRow(qt.row(i), kt.data(), kt.cols(), kt.cols(),
-                                all_keys.data(), visible, est.data());
+            kern.keysTScoreRow(qt.row(i), ktt.data(), n, ktt.rows(),
+                               visible, est.data());
             std::vector<uint32_t> ids;
             if (cfg_.use_threshold) {
                 for (size_t j = 0; j < visible; ++j)

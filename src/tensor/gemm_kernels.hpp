@@ -18,15 +18,25 @@
  *    portable path, vfmadd in AVX2). Tiling/blocking only reorders
  *    *which* elements are in flight, never the fold inside one element.
  *
- *  - **Dot family** (matmulBTRows, sparseScoreRow): the reduction
- *    over p is lane-split exactly 8 ways. With kb = k - k % 8:
+ *  - **Dot family** (matmulBTRows, sparseScoreRow, keysTScoreRow): the
+ *    reduction over p is lane-split exactly 8 ways. With kb = k - k % 8:
  *        lane[l] = fold of fma over p in {l, l+8, ...} ∩ [0, kb)
  *        s_l = lane[l] + lane[l+4]          (l = 0..3)
  *        r   = (s_0 + s_2) + (s_1 + s_3)
  *        r   = fma(x[p], y[p], r)           for p in [kb, k) ascending
  *    This mirrors one YMM accumulator plus the canonical 128-bit
  *    horizontal sum, and the portable path replays the identical
- *    sequence with 8 scalar accumulators.
+ *    sequence with 8 scalar accumulators. keysTScoreRow puts 8 keys in
+ *    the vector lanes instead and keeps the 8 lane accumulators of each
+ *    key in 8 registers, so every key sees the same sequence.
+ *
+ *  - **Max** (maxRow): the largest input, NaNs skipped. A max does not
+ *    depend on the order it is taken in, except for the sign of a zero
+ *    maximum, which may differ between the tables.
+ *
+ *  - **Top-k sweeps** (topkKeysRow, topkPackRow): integer work on
+ *    order keys (see topkKeysRow), exact on every table; tensor/topk.cpp
+ *    builds the exact row top-k from them.
  *
  *  - **Elementwise family** (expRow, geluRow, geluBackwardRow): each
  *    output element is a fixed sequence of operations on its own input
@@ -48,12 +58,44 @@
  */
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "tensor/matrix.hpp"
 #include "tensor/simd.hpp"
 
 namespace dota {
+
+/**
+ * Order key of a float for the top-k sweeps: keys compare as signed
+ * integers exactly as the floats do. -0 is canonicalized to +0 by
+ * x + 0.0f first, so the two zeros tie; a NaN ranks by its bit pattern,
+ * above +inf with the sign bit clear and below -inf with it set.
+ */
+inline int32_t
+topkOrderKey(float x)
+{
+    const int32_t b = std::bit_cast<int32_t>(x + 0.0f);
+    return b ^ ((b >> 31) & 0x7fffffff);
+}
+
+/** Bits of a key's top digit, the topkKeysRow histogram's bins. */
+inline constexpr unsigned kTopkBinBits = 11;
+inline constexpr size_t kTopkBins = size_t{1} << kTopkBinBits;
+
+/** Histogram bin of a key: its top kTopkBinBits bits, read unsigned. */
+inline size_t
+topkKeyBin(int32_t key)
+{
+    return (std::bit_cast<uint32_t>(key) ^ 0x80000000u) >>
+           (32 - kTopkBinBits);
+}
+
+/** Least and largest key of one topkKeysRow sweep. */
+struct TopkKeyRange
+{
+    int32_t lo, hi;
+};
 
 /** One ISA's instantiation of the micro-kernel entry points. */
 struct GemmKernelTable
@@ -85,6 +127,17 @@ struct GemmKernelTable
     void (*sparseScoreRow)(const float *q, const float *keys, size_t ldk,
                            size_t k, const uint32_t *cols, size_t nnz,
                            float *out);
+
+    /**
+     * One query row scored against the first m keys of a transposed key
+     * block: row p of @p kt (starting at kt + p * ldt) holds coordinate p
+     * of every key, so key j is column j. out[j] = the dot-family
+     * reduction of q[0..k) against key j, for j in [0, m): the bits of
+     * matmulBTRows and sparseScoreRow on the untransposed keys. The
+     * detector's estimate over a contiguous key prefix.
+     */
+    void (*keysTScoreRow)(const float *q, const float *kt, size_t ldt,
+                          size_t k, size_t m, float *out);
 
     /**
      * One output row of the sparse A*V kernel over a strided value
@@ -137,6 +190,32 @@ struct GemmKernelTable
     /** dx[i] = dy[i] * GELU'(x[i]) for i in [0, n). */
     void (*geluBackwardRow)(const float *x, const float *dy, size_t n,
                             float *dx);
+
+    /**
+     * The fold mx = std::max(mx, x[i]) over i in [0, n) from mx = -inf:
+     * NaNs are skipped, and n = 0 or an all-NaN row gives -inf. The
+     * value is the same on every table; a zero maximum may come back
+     * as +0 or -0.
+     */
+    float (*maxRow)(const float *x, size_t n);
+
+    /**
+     * First top-k sweep: keys[j] = topkOrderKey(x[j]) for j in [0, n),
+     * and ++hist[topkKeyBin(keys[j])] for each (the caller zeroes the
+     * touched bins). Returns the least and the largest key; n >= 1.
+     */
+    TopkKeyRange (*topkKeysRow)(const float *x, size_t n, int32_t *keys,
+                                uint32_t *hist);
+
+    /**
+     * Left-pack sweep: writes to out, ascending, every j in [0, n) with
+     * thr < keys[j] <= hi and the first @p ties j with keys[j] == thr,
+     * and stops once @p limit ids are written (nothing is written past
+     * out[limit)). Returns the number of ids written.
+     */
+    size_t (*topkPackRow)(const int32_t *keys, size_t n, int32_t thr,
+                          int32_t hi, size_t ties, size_t limit,
+                          uint32_t *out);
 };
 
 /**

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -191,10 +190,11 @@ softmaxInPlace(float *x, size_t n)
 {
     if (n == 0)
         return; // no kept entries: nothing to normalize
-    float mx = -std::numeric_limits<float>::infinity();
-    for (size_t j = 0; j < n; ++j)
-        mx = std::max(mx, x[j]);
-    activeGemmKernels().expRow(x, mx, n, x);
+    // A zero maximum's sign may differ between tables; expRow computes
+    // x - mx, which differs then only for x = -0 (+-0 out) and
+    // exp(+-0) = 1, so the output does not.
+    const GemmKernelTable &kern = activeGemmKernels();
+    kern.expRow(x, kern.maxRow(x, n), n, x);
     double denom = 0.0;
     for (size_t j = 0; j < n; ++j)
         denom += x[j];

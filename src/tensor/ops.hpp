@@ -54,8 +54,9 @@ Matrix addRowBroadcast(const Matrix &a, const Matrix &bias);
 Matrix meanRows(const Matrix &a);
 
 /**
- * Softmax of @p n values in place: float max, exponentials from the
- * kernel table's expRow (gemm_kernels.hpp), a double normalizer summed
+ * Softmax of @p n values in place: the float max and the exponentials
+ * from the kernel table's maxRow and expRow (gemm_kernels.hpp), so NaNs
+ * are skipped by the max and stay NaN, a double normalizer summed
  * in ascending order, one float reciprocal. The row operation of
  * rowSoftmax, of rowSoftmaxMasked over a row's kept entries, and of the
  * row attention kernel.

@@ -5,40 +5,25 @@
 #include "tensor/topk.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
-#include <cstring>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
+#include "tensor/gemm_kernels.hpp"
 #include "tensor/ops.hpp"
 
 namespace dota {
 
 namespace {
 
-/**
- * Digit widths of the radix select. A pass over kWideDigitMinKeys keys
- * or more takes a wide digit (2048 bins; the first one holds the sign,
- * the exponent and two mantissa bits, so one pass leaves few
- * candidates); passes over fewer keys — short rows, the candidates of
- * later passes — take 256 bins, so they do not pay for clearing the
- * wide histogram.
- */
-constexpr unsigned kWideDigitBits = 11;
-constexpr unsigned kNarrowDigitBits = 8;
-constexpr size_t kWideDigitMinKeys = 256;
+/** Keys in one topkKeysRow bin: the low 32 - kTopkBinBits bits vary. */
+constexpr uint32_t kBinSpan = uint32_t{1} << (32 - kTopkBinBits);
 
-/**
- * Order-preserving key: key(a) > key(b) exactly when a > b, with -0
- * canonicalized to +0 first so the two zeros tie.
- */
-inline uint32_t
-orderKey(float v)
-{
-    const float canon = v + 0.0f;
-    uint32_t b;
-    std::memcpy(&b, &canon, sizeof b);
-    return (b & 0x80000000u) ? ~b : (b | 0x80000000u);
-}
+/** Digit width of the refine passes over the k-th bin's keys. */
+constexpr unsigned kRefineDigitBits = 7;
 
 /** Row-wise top-k into a dense mask; causal rows see columns [0, r]. */
 Matrix
@@ -57,6 +42,43 @@ topkRows(const Matrix &scores, size_t k, bool causal)
     return mask;
 }
 
+/**
+ * Radix-select among the m offsets u[i] < kBinSpan (keys minus their
+ * bin's lowest key): the @p need-th largest (1 <= need <= m), one
+ * kRefineDigitBits digit at a time from the top, compacting u in place.
+ * Returns the threshold offset; @p need comes back as the ties to keep
+ * at it, or SIZE_MAX when every offset from the threshold up is kept.
+ */
+uint32_t
+refineBin(uint32_t *u, size_t m, size_t &need)
+{
+    uint32_t hist[size_t{1} << kRefineDigitBits];
+    unsigned low = 32 - kTopkBinBits; // bits below the decided digits
+    uint32_t prefix = 0;
+    while (low > 0) {
+        const unsigned w = std::min(low, kRefineDigitBits);
+        low -= w;
+        const uint32_t dmask = (1u << w) - 1;
+        std::fill(hist, hist + dmask + 1, 0u);
+        for (size_t i = 0; i < m; ++i)
+            ++hist[(u[i] >> low) & dmask];
+        uint32_t b = dmask;
+        while (hist[b] < need)
+            need -= hist[b--];
+        prefix |= b << low;
+        if (hist[b] == need) {
+            need = SIZE_MAX; // the whole sub-bucket is kept
+            break;
+        }
+        size_t c = 0;
+        for (size_t i = 0; i < m; ++i)
+            if (((u[i] >> low) & dmask) == b)
+                u[c++] = u[i];
+        m = c;
+    }
+    return prefix;
+}
+
 } // namespace
 
 size_t
@@ -68,56 +90,46 @@ topkRow(const float *x, size_t n, size_t k, uint32_t *out)
     }
     if (k == 0)
         return 0;
-    thread_local std::vector<uint32_t> keys, cand;
-    thread_local uint32_t hist[size_t{1} << kWideDigitBits];
+    thread_local std::vector<int32_t> keys;
+    thread_local std::vector<uint32_t> cand;
+    // Zero between calls: each call clears the bins its keys touched.
+    thread_local std::array<uint32_t, kTopkBins> hist{};
     if (keys.size() < n) {
         keys.resize(n);
         cand.resize(n);
     }
-    for (size_t j = 0; j < n; ++j)
-        keys[j] = orderKey(x[j]);
+    const GemmKernelTable &kern = activeGemmKernels();
+    const TopkKeyRange range =
+        kern.topkKeysRow(x, n, keys.data(), hist.data());
 
-    // Narrow down the k-th largest key one digit at a time, from the
-    // top. Invariant: the m keys in play share the decided high digits,
-    // and `need` of them (1 <= need <= m) are kept.
-    const uint32_t *src = keys.data();
-    size_t m = n, need = k;
-    unsigned low = 32; // bits below the decided digits
-    uint32_t prefix = 0;
-    while (low > 0) {
-        const unsigned w = std::min(
-            low, m >= kWideDigitMinKeys ? kWideDigitBits : kNarrowDigitBits);
-        low -= w;
-        const uint32_t dmask = (1u << w) - 1;
-        std::fill(hist, hist + dmask + 1, 0u);
-        for (size_t i = 0; i < m; ++i)
-            ++hist[(src[i] >> low) & dmask];
-        uint32_t b = dmask;
-        while (hist[b] < need)
-            need -= hist[b--];
-        prefix |= b << low;
-        if (hist[b] == need)
-            break; // the whole bucket is kept
-        size_t c = 0;
-        for (size_t i = 0; i < m; ++i)
-            if (((src[i] >> low) & dmask) == b)
-                cand[c++] = src[i];
-        src = cand.data();
-        m = c;
-    }
+    // The bin of the k-th largest key, down from the maximum's; `need`
+    // of its keys are kept.
+    size_t b = topkKeyBin(range.hi), need = k;
+    while (hist[b] < need)
+        need -= hist[b--];
+    const size_t in_bin = hist[b];
+    std::fill(hist.begin() + static_cast<ptrdiff_t>(topkKeyBin(range.lo)),
+              hist.begin() + static_cast<ptrdiff_t>(topkKeyBin(range.hi)) +
+                  1,
+              0u);
+    const int32_t bin_lo = std::bit_cast<int32_t>(
+        (static_cast<uint32_t>(b) << (32 - kTopkBinBits)) ^ 0x80000000u);
 
-    // Emit, in index order, every key above the decided digits and the
-    // first `need` keys equal to them (the lower-index ties).
-    const uint32_t top = prefix >> low;
-    size_t kept = 0;
-    for (uint32_t j = 0; kept < k; ++j) {
-        const uint32_t t = keys[j] >> low;
-        const bool tie = t == top && need > 0;
-        need -= tie;
-        out[kept] = j;
-        kept += (t > top) || tie;
+    // The threshold key: every key above it is kept, and `ties` of the
+    // keys equal to it, lowest index first (SIZE_MAX: all of them).
+    int32_t thr = bin_lo;
+    size_t ties = SIZE_MAX;
+    if (in_bin != need) {
+        const size_t m = kern.topkPackRow(
+            keys.data(), n, bin_lo, bin_lo + static_cast<int32_t>(kBinSpan - 1),
+            SIZE_MAX, in_bin, cand.data());
+        for (size_t i = 0; i < m; ++i)
+            cand[i] = static_cast<uint32_t>(keys[cand[i]] - bin_lo);
+        ties = need;
+        thr = bin_lo + static_cast<int32_t>(refineBin(cand.data(), m, ties));
     }
-    return kept;
+    return kern.topkPackRow(keys.data(), n, thr,
+                            std::numeric_limits<int32_t>::max(), ties, k, out);
 }
 
 std::vector<uint32_t>

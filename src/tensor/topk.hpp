@@ -27,12 +27,14 @@ namespace dota {
  * -0 equals +0. NaNs rank by their bit pattern: a NaN with the sign bit
  * clear above +inf, one with it set below -inf.
  *
- * Radix select on order-preserving integer keys (-0 canonicalized by
- * x + 0.0f): a histogram of the keys' top digit finds the bucket that
- * holds the k-th largest key, later digits refine only that bucket's
- * keys, and a last pass emits every key above the k-th plus the
+ * Radix select on order-preserving integer keys (topkOrderKey in
+ * gemm_kernels.hpp), in two vector sweeps of the kernel table: the
+ * first writes the keys, their range and a histogram of their top 11
+ * bits, which finds the bin of the k-th largest key; that bin's keys
+ * are packed out and refined 7 bits at a time; the second sweep
+ * left-packs every index whose key is above the threshold plus the
  * lowest-index ties at it. No sort and no comparator, so the ids come
- * out ascending for free.
+ * out ascending for free; nothing is written past out[min(k, n)).
  */
 size_t topkRow(const float *x, size_t n, size_t k, uint32_t *out);
 

@@ -157,6 +157,35 @@ TEST(Detector, SparseSelectionMatchesDenseRule)
             }
         }
     }
+    // The model's lengths, top-k on INT4 and on fp32 detection: the
+    // transposed estimate's vector bodies and tails over many tiles.
+    for (size_t n : {512u, 2048u}) {
+        const Matrix x = Matrix::randomNormal(n, 32, rng);
+        for (bool quantize : {true, false}) {
+            DetectorConfig dc;
+            dc.train = false;
+            dc.retention = 0.25;
+            dc.quantize = quantize;
+            DotaDetector det(modelCfg(), dc);
+            const Matrix est = det.estimateScores(0, 1, x);
+            for (bool causal : {false, true}) {
+                det.beginLayer(0, x);
+                const SparseMask got = det.selectSparseMask(0, 1, causal);
+                const Matrix dense =
+                    causal ? topkMaskCausal(est, det.keepCount(n))
+                           : topkMask(est, det.keepCount(n));
+                for (size_t r = 0; r < n; ++r) {
+                    std::vector<uint32_t> want;
+                    for (size_t c = 0; c < n; ++c)
+                        if (dense(r, c) != 0.0f)
+                            want.push_back(static_cast<uint32_t>(c));
+                    ASSERT_EQ(got.row(r), want)
+                        << "n=" << n << " quantize=" << quantize
+                        << " causal=" << causal << " row " << r;
+                }
+            }
+        }
+    }
 }
 
 /** Pass-through hook that overrides only the dense selectMask. */

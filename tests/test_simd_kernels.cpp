@@ -18,6 +18,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -554,6 +555,169 @@ TEST(SimdKernels, AttentionSparsePathBitIdenticalToForcedDense)
     }
     // ...and the output is bitwise the dense masked result.
     EXPECT_TRUE(bitIdentical(sparse, dense));
+}
+
+/** Same length and the same bits in every element. */
+bool
+sameFloatBits(const std::vector<float> &a, const std::vector<float> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+TEST(SimdKernels, KeysTScoreRowMatchesSparseScoreRow)
+{
+    // Scores of a contiguous key prefix against K~ transposed equal the
+    // dot family's bits (sparseScoreRow, matmulBT) key by key on every
+    // table, and no score is written past out[m). ldt == m reads the
+    // last vector of each row through the masked tail.
+    Rng rng(2300);
+    const std::vector<const GemmKernelTable *> tables = kernelTables();
+    std::vector<size_t> counts;
+    for (size_t m = 0; m <= 17; ++m)
+        counts.push_back(m);
+    counts.push_back(2048);
+    for (size_t k : {1u, 7u, 8u, 9u, 16u, 17u, 33u}) {
+        const Matrix q = Matrix::randomNormal(1, k, rng);
+        const Matrix keys = Matrix::randomNormal(2048, k, rng);
+        const Matrix wide = transpose(keys);
+        std::vector<uint32_t> ids(2048);
+        for (size_t j = 0; j < ids.size(); ++j)
+            ids[j] = static_cast<uint32_t>(j);
+        for (size_t m : counts) {
+            const Matrix tight =
+                transpose(Matrix(m, k, std::vector<float>(
+                                           keys.data(), keys.data() + m * k)));
+            std::vector<float> first;
+            for (const GemmKernelTable *kt : tables) {
+                std::vector<float> want(m);
+                kt->sparseScoreRow(q.row(0), keys.data(), k, k, ids.data(), m,
+                                   want.data());
+                for (const Matrix *t : {&wide, &tight}) {
+                    const float kSentinel = -1234.5f;
+                    std::vector<float> got(m + 9, kSentinel);
+                    kt->keysTScoreRow(q.row(0), t->data(), t->cols(), k, m,
+                                      got.data());
+                    for (size_t j = m; j < got.size(); ++j)
+                        ASSERT_EQ(got[j], kSentinel) << "k=" << k << " m=" << m;
+                    got.resize(m);
+                    ASSERT_TRUE(sameFloatBits(got, want))
+                        << "k=" << k << " m=" << m << " ldt=" << t->cols();
+                }
+                if (kt == tables.front())
+                    first = want;
+                ASSERT_TRUE(sameFloatBits(first, want))
+                    << "tables differ, k=" << k << " m=" << m;
+            }
+        }
+    }
+}
+
+TEST(SimdKernels, TopkSweepsIdenticalOnBothTables)
+{
+    // The keys, histogram, range and packed ids of the top-k sweeps are
+    // the same on every table, at every length around the vector width,
+    // and no pack writes past out[limit).
+    Rng rng(2400);
+    const std::vector<const GemmKernelTable *> tables = kernelTables();
+    std::vector<size_t> lengths = {2048, 2049};
+    for (size_t n = 1; n <= 40; ++n)
+        lengths.push_back(n);
+    constexpr uint32_t kSentinel = 0xdeadbeefu;
+    for (size_t n : lengths) {
+        std::vector<float> x(n);
+        for (float &v : x) {
+            const uint64_t u = rng.uniformInt(16);
+            v = u == 0   ? std::numeric_limits<float>::quiet_NaN()
+                : u == 1 ? -std::numeric_limits<float>::infinity()
+                : u == 2 ? -0.0f
+                         : std::round(static_cast<float>(rng.normal()) * 2.0f);
+        }
+        std::vector<std::vector<int32_t>> keys;
+        std::vector<std::vector<uint32_t>> hists;
+        std::vector<std::vector<uint32_t>> packs;
+        for (const GemmKernelTable *kt : tables) {
+            std::vector<int32_t> kk(n);
+            std::vector<uint32_t> hist(kTopkBins, 0u);
+            const TopkKeyRange r =
+                kt->topkKeysRow(x.data(), n, kk.data(), hist.data());
+            for (size_t j = 0; j < n; ++j)
+                ASSERT_EQ(kk[j], topkOrderKey(x[j])) << "n=" << n;
+            EXPECT_EQ(r.lo, *std::min_element(kk.begin(), kk.end()));
+            EXPECT_EQ(r.hi, *std::max_element(kk.begin(), kk.end()));
+            std::vector<uint32_t> all;
+            const int32_t mid = kk[n / 2];
+            const int32_t lim = std::numeric_limits<int32_t>::max();
+            const size_t half = n / 2;
+            const int32_t thrs[][2] = {{mid, lim}, {mid, mid + 4}, {r.lo, lim}};
+            for (const auto &th : thrs)
+                for (size_t ties : {size_t{0}, size_t{1}, size_t{3}, SIZE_MAX})
+                    for (size_t limit : {size_t{1}, size_t{7}, half, n}) {
+                        std::vector<uint32_t> out(limit + 9, kSentinel);
+                        const size_t c = kt->topkPackRow(
+                            kk.data(), n, th[0], th[1], ties, limit,
+                            out.data());
+                        ASSERT_LE(c, limit);
+                        for (size_t j = c; j < out.size(); ++j)
+                            ASSERT_EQ(out[j], j < limit ? out[j] : kSentinel)
+                                << "write past out[limit) n=" << n;
+                        all.push_back(static_cast<uint32_t>(c));
+                        all.insert(all.end(), out.begin(), out.begin() + c);
+                    }
+            keys.push_back(kk);
+            hists.push_back(hist);
+            packs.push_back(all);
+        }
+        for (size_t t = 1; t < tables.size(); ++t) {
+            EXPECT_EQ(keys[t], keys[0]) << "n=" << n;
+            EXPECT_EQ(hists[t], hists[0]) << "n=" << n;
+            EXPECT_EQ(packs[t], packs[0]) << "n=" << n;
+        }
+    }
+}
+
+TEST(SimdKernels, SoftmaxWithZeroMaximumKeepsItsBits)
+{
+    // maxRow may return +0 or -0 when a row's maximum is a zero; expRow
+    // takes x - max, which then differs only for x = -0, and
+    // exp(+-0) = 1, so softmaxInPlace gives the bits of the
+    // std::max-fold softmax on every table. NaNs are skipped by the max
+    // as std::max skips them.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const std::vector<const GemmKernelTable *> tables = kernelTables();
+    Rng rng(2500);
+    for (size_t n = 1; n <= 40; ++n) {
+        for (int pattern = 0; pattern < 4; ++pattern) {
+            std::vector<float> x(n);
+            for (size_t j = 0; j < n; ++j)
+                x[j] = -1.0f - static_cast<float>(rng.uniformInt(100)) / 16.0f;
+            // Both zeros in both orders, at the front, the back and the
+            // last vector's tail, with NaNs among them.
+            x[pattern % 2 ? n - 1 : 0] = pattern < 2 ? -0.0f : 0.0f;
+            x[(pattern % 2 ? 0 : n - 1) % n] = pattern < 2 ? 0.0f : -0.0f;
+            x[n / 2] = rng.uniformInt(2) ? -0.0f : 0.0f;
+            if (n > 3)
+                x[n / 3] = nan;
+            float mx = -std::numeric_limits<float>::infinity();
+            for (float v : x)
+                mx = std::max(mx, v);
+            for (const GemmKernelTable *kt : tables)
+                EXPECT_EQ(kt->maxRow(x.data(), n), mx) << "n=" << n;
+            std::vector<float> want(n);
+            detail::portableGemmKernels().expRow(x.data(), mx, n, want.data());
+            double denom = 0.0;
+            for (float v : want)
+                denom += v;
+            const float inv = static_cast<float>(1.0 / denom);
+            for (float &v : want)
+                v *= inv;
+            std::vector<float> got = x;
+            softmaxInPlace(got.data(), n);
+            EXPECT_TRUE(sameFloatBits(got, want))
+                << "n=" << n << " pattern " << pattern;
+        }
+    }
 }
 
 } // namespace

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
 #include <numeric>
+#include <random>
 
 #include "tensor/ops.hpp"
 #include "tensor/topk.hpp"
@@ -85,6 +88,69 @@ maskRowIds(const Matrix &mask, size_t r)
     return ids;
 }
 
+/**
+ * The documented order as an integer: floats by value with -0 equal to
+ * +0; a NaN by its bits, above +inf with the sign bit clear and below
+ * -inf with it set.
+ */
+int64_t
+orderRank(float v)
+{
+    const uint32_t b = std::bit_cast<uint32_t>(v);
+    return (b >> 31) ? -static_cast<int64_t>(b & 0x7fffffffu)
+                     : static_cast<int64_t>(b);
+}
+
+/** sortReferenceTopK on orderRank, so rows may hold NaNs. */
+std::vector<uint32_t>
+rankReferenceTopK(const float *row, size_t n, size_t k)
+{
+    std::vector<uint32_t> idx(n);
+    std::iota(idx.begin(), idx.end(), 0u);
+    std::stable_sort(idx.begin(), idx.end(), [row](uint32_t a, uint32_t b) {
+        return orderRank(row[a]) > orderRank(row[b]);
+    });
+    idx.resize(std::min(k, n));
+    std::sort(idx.begin(), idx.end());
+    return idx;
+}
+
+/**
+ * Long-row inputs for the vector sweeps. kind 0: normals quantized to
+ * steps of 1/4 (many ties at the k-th value); kind 1: normals among
+ * quiet NaNs of both signs, +-inf, +-0 and denormals; kind 2: the top
+ * quarter (ceil) in one histogram bin, [1, 1.25), over smaller values,
+ * so at k = ceil(n/4) the k-th bin is kept whole.
+ */
+std::vector<float>
+longRow(Rng &rng, size_t n, int kind)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float specials[] = {
+        std::bit_cast<float>(0x7fc00000u), std::bit_cast<float>(0xffc00000u),
+        std::bit_cast<float>(0x7fc00005u), std::bit_cast<float>(0xffc00003u),
+        inf, -inf, 0.0f, -0.0f,
+        std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(),
+        std::bit_cast<float>(0x00400000u), -std::bit_cast<float>(0x00000007u)};
+    std::vector<float> row(n);
+    for (size_t j = 0; j < n; ++j) {
+        const float g = static_cast<float>(rng.normal());
+        if (kind == 0)
+            row[j] = std::round(g * 4.0f) / 4.0f;
+        else if (kind == 1)
+            row[j] = rng.uniformInt(3) == 0 ? specials[rng.uniformInt(12)] : g;
+        else
+            row[j] = j < (n + 3) / 4 ? 1.0f + 0.2f * static_cast<float>(
+                                                     rng.uniformInt(1000)) /
+                                                 1000.0f
+                                     : std::min(g, 0.99f);
+    }
+    if (kind == 2)
+        std::shuffle(row.begin(), row.end(), std::mt19937(7));
+    return row;
+}
+
 TEST(TopK, MatchesSortReference)
 {
     Rng rng(4242);
@@ -118,6 +184,32 @@ TEST(TopK, MatchesSortReference)
                           sortReferenceTopK(s.row(r), r + 1, k))
                     << "topkMaskCausal n=" << n << " k=" << k << " row "
                     << r;
+            }
+        }
+    }
+    // Long rows through the vector sweeps: lengths around the 8-lane
+    // width and at the model's lengths; nothing is written past
+    // out[min(k, n)), which callers size exactly.
+    std::vector<size_t> lengths = {255,  256,  257,  511,  512,
+                                   1023, 1024, 2047, 2048, 4097};
+    for (size_t n = 1; n <= 25; ++n)
+        lengths.push_back(n);
+    constexpr uint32_t kSentinel = 0xdeadbeefu;
+    for (size_t n : lengths) {
+        for (int kind = 0; kind < 3; ++kind) {
+            const std::vector<float> row = longRow(rng, n, kind);
+            for (size_t k : {size_t{0}, size_t{1}, n / 4, (n + 3) / 4, n - 1,
+                             n}) {
+                std::vector<uint32_t> got(std::min(k, n) + 16, kSentinel);
+                const size_t kept = topkRow(row.data(), n, k, got.data());
+                ASSERT_EQ(kept, std::min(k, n)) << "n=" << n << " k=" << k;
+                for (size_t i = kept; i < got.size(); ++i)
+                    ASSERT_EQ(got[i], kSentinel)
+                        << "write past out[" << kept << ") n=" << n
+                        << " k=" << k << " kind " << kind;
+                got.resize(kept);
+                ASSERT_EQ(got, rankReferenceTopK(row.data(), n, k))
+                    << "topkRow n=" << n << " k=" << k << " kind " << kind;
             }
         }
     }
