@@ -3,8 +3,9 @@
  * Private to the kernel tables: the elementwise family's op sequences
  * (exp, GELU, GELU's derivative), written once over a lane type so the
  * portable table (gemm_kernels.cpp, one float per lane) and the AVX2
- * table (gemm_avx2.cpp, eight) run the same steps. See the elementwise
- * contract in gemm_kernels.hpp and DESIGN.md §11.
+ * table (gemm_avx2.cpp, eight) run the same steps, and the scalar
+ * top-k sweep loops, which are the portable entries and the AVX2
+ * tails. See the contracts in gemm_kernels.hpp and DESIGN.md §11.
  *
  * A lane type L provides V (the value), M (a compare result) and the
  * static ops set, add, sub, mul, div, fma (fused, one rounding),
@@ -15,10 +16,13 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+
+#include "tensor/gemm_kernels.hpp"
 
 namespace dota::detail {
 
@@ -145,6 +149,39 @@ geluBackwardLane(typename L::V x, typename L::V dy)
     const V du = L::fma(x2, L::set(kGeluD1), L::set(kGeluD0));
     const V g = L::fma(L::mul(x, du), L::sub(L::set(1.0f), s), L::set(1.0f));
     return L::mul(dy, L::mul(s, g));
+}
+
+/** topkKeysRow over x[j..n), folding into @p r. */
+inline void
+topkKeysFrom(const float *x, size_t j, size_t n, int32_t *keys,
+             uint32_t *hist, TopkKeyRange &r)
+{
+    for (; j < n; ++j) {
+        const int32_t key = topkOrderKey(x[j]);
+        keys[j] = key;
+        r.lo = std::min(r.lo, key);
+        r.hi = std::max(r.hi, key);
+        ++hist[topkKeyBin(key)];
+    }
+}
+
+/** topkPackRow over keys[j..n), with @p kept ids already written. */
+inline size_t
+topkPackFrom(const int32_t *keys, size_t j, size_t n, int32_t thr,
+             int32_t hi, size_t ties, size_t limit, uint32_t *out,
+             size_t kept)
+{
+    for (; j < n && kept < limit; ++j) {
+        const int32_t key = keys[j];
+        bool take = key > thr && key <= hi;
+        if (key == thr && ties > 0) {
+            take = true;
+            --ties;
+        }
+        if (take)
+            out[kept++] = static_cast<uint32_t>(j);
+    }
+    return kept;
 }
 
 } // namespace dota::detail
